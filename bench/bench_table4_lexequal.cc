@@ -22,6 +22,8 @@
 // both implementations run the same workload, preserving the ratio.
 
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "bench_util.h"
 #include "common/metrics.h"
@@ -40,6 +42,27 @@ struct Cell {
   double scan_ms = 0;
   double join_ms = 0;
 };
+
+/// Operator name of `op` (its DisplayName up to the '(').
+std::string OpName(const PhysicalOp& op) {
+  const std::string name = op.DisplayName();
+  return name.substr(0, name.find('('));
+}
+
+/// The DOP `op` was planned at: its "dop=N" annotation, else 1.
+int PlannedDop(const PhysicalOp& op) {
+  const std::string name = op.DisplayName();
+  const size_t at = name.find("dop=");
+  return at == std::string::npos ? 1 : std::atoi(name.c_str() + at + 4);
+}
+
+/// Records which Psi operator, at which DOP, the planner chose for one
+/// sweep point ("psi_op.<Name>" = planned DOP), so a plan flip shows up in
+/// the JSON as a changed key or value.
+void RecordPsiOperator(JsonReporter* json, const std::string& label,
+                       const PhysicalOp& op) {
+  json->Record(label, "psi_op." + OpName(op), PlannedDop(op));
+}
 
 }  // namespace
 
@@ -238,22 +261,22 @@ int main() {
               "(paper: 7.3x)\n",
               out_noidx.scan_ms / out_idx.scan_ms);
 
-  // ---------------- Core, batch on/off ablation --------------------------
-  // The vectorized LexEQUAL pipeline (LexSelect: fused scan+filter,
-  // zero-copy key peek, bounded bit-parallel kernel, late
-  // materialization) against the tuple-at-a-time Filter-over-SeqScan on
-  // the same 30k-name scan workload, both pinned serial so the comparison
-  // isolates the execution path.  Match sets must be bit-identical.
+  // ---------------- Core, batch-size ablation ----------------------------
+  // The one Psi scan leaf (LexSelect: morsel scan, zero-copy key peek,
+  // bounded bit-parallel kernel, late materialization) replaying its
+  // matches one row per batch against 1024 per batch, on the same 30k-name
+  // scan workload, pinned serial so the comparison isolates the batch
+  // size.  Match sets must be bit-identical.
   {
     std::printf("\n=== Batch ablation: core no-index scan, 30k names ===\n");
     PlannerHints hints;
     hints.enable_mtree = false;
     hints.degree_of_parallelism = 1;
-    double tuple_ms = 0, batch_ms = 0;
-    size_t tuple_rows = 0, batch_rows = 0;
-    std::vector<std::string> tuple_set, batch_set;
-    for (const bool batched : {false, true}) {
-      db->SetBatchSize(batched ? 1024 : 0);
+    double batch1_ms = 0, batch1024_ms = 0;
+    size_t batch1_rows = 0, batch1024_rows = 0;
+    std::vector<std::string> batch1_set, batch1024_set;
+    for (const size_t batch : {size_t{1}, size_t{1024}}) {
+      db->SetBatchSize(batch);
       size_t rows = 0;
       std::vector<std::string> rendered;
       const double ms = TimeMedianMs(3, [&] {
@@ -271,31 +294,31 @@ int main() {
           }
         }
       });
-      if (batched) {
-        batch_ms = ms;
-        batch_rows = rows;
-        batch_set = std::move(rendered);
+      if (batch == 1) {
+        batch1_ms = ms;
+        batch1_rows = rows;
+        batch1_set = std::move(rendered);
       } else {
-        tuple_ms = ms;
-        tuple_rows = rows;
-        tuple_set = std::move(rendered);
+        batch1024_ms = ms;
+        batch1024_rows = rows;
+        batch1024_set = std::move(rendered);
       }
     }
     db->SetBatchSize(1024);  // restore the session default
-    if (tuple_rows != scan_rows || batch_rows != scan_rows ||
-        tuple_set != batch_set) {
+    if (batch1_rows != scan_rows || batch1024_rows != scan_rows ||
+        batch1_set != batch1024_set) {
       std::fprintf(stderr,
-                   "FATAL: batch/tuple match sets differ (%zu vs %zu)\n",
-                   tuple_rows, batch_rows);
+                   "FATAL: batch 1/1024 match sets differ (%zu vs %zu)\n",
+                   batch1_rows, batch1024_rows);
       return 1;
     }
-    json.Record("core_noidx_tuple", "scan_ms", tuple_ms);
-    json.Record("core_noidx_batch", "scan_ms", batch_ms);
-    std::printf("  tuple-at-a-time (batch=0):    %10.2f ms\n", tuple_ms);
-    std::printf("  vectorized (batch=1024):      %10.2f ms\n", batch_ms);
-    std::printf("  batch-path speedup:           %10.2fx  "
+    json.Record("core_noidx_batch1", "scan_ms", batch1_ms);
+    json.Record("core_noidx_batch1024", "scan_ms", batch1024_ms);
+    std::printf("  batch=1:                      %10.2f ms\n", batch1_ms);
+    std::printf("  batch=1024:                   %10.2f ms\n", batch1024_ms);
+    std::printf("  batch-1024 speedup:           %10.2fx  "
                 "(match sets bit-identical, %zu rows)\n",
-                tuple_ms / batch_ms, batch_rows);
+                batch1_ms / batch1024_ms, batch1024_rows);
   }
 
   // ---------------- Core, morsel-parallel DOP sweep ----------------------
@@ -352,11 +375,15 @@ int main() {
                      rows, serial_rows);
         return 1;
       }
-      std::printf("%6d %14.2f %14.2f %10zu %12.2fx\n", dop, ms, storage_ms,
-                  rows, serial_ms / ms);
-      json.Record("dop_scan_" + std::to_string(dop), "runtime_ms", ms);
-      json.Record("dop_scan_" + std::to_string(dop), "storage_ms",
-                  storage_ms);
+      auto physical = big->PlanQuery(plan, hints);
+      BENCH_CHECK_OK(physical.status());
+      std::printf("%6d %14.2f %14.2f %10zu %12.2fx  %s\n", dop, ms,
+                  storage_ms, rows, serial_ms / ms,
+                  physical->root->DisplayName().c_str());
+      const std::string label = "dop_scan_" + std::to_string(dop);
+      json.Record(label, "runtime_ms", ms);
+      json.Record(label, "storage_ms", storage_ms);
+      RecordPsiOperator(&json, label, *physical->root);
     }
 
     // Same sweep for the core join workload.
@@ -391,11 +418,17 @@ int main() {
                      pairs, join_rows);
         return 1;
       }
-      std::printf("%6d %14.2f %14.2f %10zu %12.2fx\n", dop, ms, storage_ms,
-                  pairs, join_serial_ms / ms);
-      json.Record("dop_join_" + std::to_string(dop), "runtime_ms", ms);
-      json.Record("dop_join_" + std::to_string(dop), "storage_ms",
-                  storage_ms);
+      // The plan root is the COUNT(*) aggregate; the join is its input.
+      auto physical = join_db->PlanQuery(join_plan, hints);
+      BENCH_CHECK_OK(physical.status());
+      const PhysicalOp& join_op = *physical->root->Children().front();
+      std::printf("%6d %14.2f %14.2f %10zu %12.2fx  %s\n", dop, ms,
+                  storage_ms, pairs, join_serial_ms / ms,
+                  join_op.DisplayName().c_str());
+      const std::string label = "dop_join_" + std::to_string(dop);
+      json.Record(label, "runtime_ms", ms);
+      json.Record(label, "storage_ms", storage_ms);
+      RecordPsiOperator(&json, label, join_op);
     }
   }
   return 0;

@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <exception>
 #include <utility>
@@ -103,7 +105,14 @@ void ThreadPool::WorkerLoop() {
 }
 
 size_t ThreadPool::HardwareConcurrency() {
-  size_t n = std::thread::hardware_concurrency();
+  // std::thread::hardware_concurrency counts the machine's CPUs and ignores
+  // the affinity mask (taskset, cpusets); the mask is what DOP can use.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<size_t>(CPU_COUNT(&set));
+  }
+  const size_t n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : n;
 }
 

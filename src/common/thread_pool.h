@@ -52,8 +52,9 @@ class ThreadPool {
   /// workers.  Idempotent; also called by the destructor.
   void Shutdown();
 
-  /// The degree of parallelism the hardware supports (>= 1 even when the
-  /// runtime reports 0).
+  /// The degree of parallelism the hardware supports: the CPUs this process
+  /// may run on (so `taskset -c 0` yields 1), >= 1 even when the runtime
+  /// reports 0.
   static size_t HardwareConcurrency();
 
  private:

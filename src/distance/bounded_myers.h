@@ -42,8 +42,9 @@ int MyersBlockLevenshtein(std::string_view a, std::string_view b);
 /// Prepared-pattern form of the bounded kernel for one fixed (pattern, k):
 /// the 256-entry Peq table is built once at construction, so each
 /// Distance() call runs only the column loop.  That is the per-row cost
-/// that matters in the batch Psi scan, where one probe is compared against
-/// every record — LexSelectOp hoists a matcher at Open.
+/// that matters in the Psi operators, where one key is compared against
+/// many: LexSelectOp prepares the probe once per morsel, LexJoinOp each
+/// outer key once for the whole inner side.
 ///
 /// Results and DistanceStats accounting are contractually identical to
 /// `BoundedDistanceCounted(pattern, text, k, stats)` (the distance is

@@ -12,8 +12,9 @@
 //                           extension beyond 64 phonemes (bounded_myers.h)
 //   - WithinDistance      : boolean form with early termination
 //
-// The executor's production kernel is BoundedDistanceCounted, which
-// dispatches to the bounded bit-parallel kernel (bounded_myers.h); the DP
+// The Psi operators run the bounded bit-parallel kernel through a prepared
+// BoundedMyersMatcher (bounded_myers.h); BoundedDistanceCounted is its
+// unprepared dispatcher, used by the generic LexEQUAL expression.  The DP
 // kernels above stay as the references the equivalence harness checks
 // against and as the ablation baselines.
 //

@@ -1,6 +1,7 @@
 #include "exec/mural_ops.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -9,104 +10,118 @@
 namespace mural {
 
 LexSelectOp::LexSelectOp(ExecContext* ctx, const TableInfo* table,
-                         size_t key_col, Value probe, int threshold_override)
+                         size_t key_col, Value probe, int threshold_override,
+                         ExprPtr residual, int dop, size_t morsel_pages)
     : PhysicalOp(ctx),
       table_(table),
       key_col_(key_col),
       probe_(std::move(probe)),
-      threshold_override_(threshold_override) {}
+      threshold_override_(threshold_override),
+      residual_(std::move(residual)),
+      dop_(dop < 1 ? 1 : dop),
+      morsel_pages_(morsel_pages == 0 ? kDefaultMorselPages : morsel_pages) {}
 
 Status LexSelectOp::OpenImpl() {
-  k_ = threshold_override_ >= 0 ? threshold_override_
-                                : ctx_->lexequal_threshold;
-  probe_null_ = probe_.is_null();
-  if (!probe_null_) {
-    // Hoisted once per scan; the legacy Filter path re-resolves the
-    // constant's phonemes per row (a cache hit each time).  The matcher
-    // also pre-builds the kernel's Peq table for the probe, leaving only
-    // the column loop as per-row work.
-    MURAL_ASSIGN_OR_RETURN(probe_phonemes_, PhonemesOf(probe_, ctx_));
-    matcher_.emplace(probe_phonemes_, k_);
+  results_.clear();
+  result_pos_ = 0;
+  if (probe_.is_null()) return Status::OK();  // NULL never matches
+  const int k = threshold_override_ >= 0 ? threshold_override_
+                                         : ctx_->lexequal_threshold;
+  // Hoisted once per scan: one phoneme lookup for the probe, however many
+  // morsels share it.
+  MURAL_ASSIGN_OR_RETURN(const PhonemeString probe_phonemes,
+                         PhonemesOf(probe_, ctx_));
+
+  const size_t n = table_->heap->pages().size();
+  const size_t num_morsels =
+      n == 0 ? 0 : (n + morsel_pages_ - 1) / morsel_pages_;
+  std::vector<std::vector<Row>> slots(num_morsels);
+  std::vector<ExecContext> worker_ctxs(num_morsels, ctx_->WorkerClone());
+  MURAL_RETURN_IF_ERROR(ParallelMorsels(
+      ctx_->thread_pool, n, morsel_pages_, dop_,
+      [this, k, &probe_phonemes, &slots, &worker_ctxs](
+          size_t m, size_t begin, size_t end) {
+        return ScanPages(begin, end, k, probe_phonemes, &worker_ctxs[m],
+                         &slots[m]);
+      }));
+
+  // Gather: flatten slots in morsel-index order (= page chain order) and
+  // merge stats the same way.
+  size_t total = 0;
+  for (const std::vector<Row>& slot : slots) total += slot.size();
+  results_.reserve(total);
+  for (size_t m = 0; m < num_morsels; ++m) {
+    ctx_->stats.Merge(worker_ctxs[m].stats);
+    for (Row& r : slots[m]) results_.push_back(std::move(r));
   }
-  it_.emplace(table_->heap->Begin());
-  page_idx_ = 0;
-  slot_ = 0;
   return Status::OK();
 }
 
-StatusOr<bool> LexSelectOp::RecordMatches(std::string_view record) {
+Status LexSelectOp::ScanPages(size_t begin, size_t end, int k,
+                              const PhonemeString& probe_phonemes,
+                              ExecContext* wctx, std::vector<Row>* slot) {
+  // The matcher pre-builds the kernel's Peq table for the probe, leaving
+  // only the column loop as per-row work.  It keeps scratch state, so each
+  // morsel prepares its own.
+  BoundedMyersMatcher matcher(probe_phonemes, k);
+  const Schema& schema = table_->schema;
+  const bool plain_text = schema.column(key_col_).type == TypeId::kText;
+  BufferPool* pool = table_->heap->pool();
+  const std::vector<PageId>& pages = table_->heap->pages();
   UniTextColumnView view;
-  MURAL_RETURN_IF_ERROR(
-      TupleCodec::PeekUniText(table_->schema, record, key_col_, &view));
-  if (view.is_null) return false;  // NULL never matches (SQL WHERE)
-  ++ctx_->stats.predicate_evals;
-  int d;
-  if (view.has_phonemes) {
-    d = matcher_->Distance(view.phonemes, &ctx_->stats.distance);
-  } else {
-    const LangId lang = table_->schema.column(key_col_).type == TypeId::kText
-                            ? lang::kEnglish
-                            : view.lang;
-    const PhonemeString ph = TransformPhonemesCounted(view.text, lang, ctx_);
-    d = matcher_->Distance(ph, &ctx_->stats.distance);
+  for (size_t p = begin; p < end; ++p) {
+    // One Fetch and one shared latch per page; records are matched in
+    // place from the page bytes and deserialized only on a hit.
+    MURAL_ASSIGN_OR_RETURN(const ReadPageGuard guard, pool->Fetch(pages[p]));
+    const Page* page = guard.get();
+    for (SlotId s = 0; s < page->NumSlots(); ++s) {
+      StatusOr<Slice> record = page->Get(s);
+      if (!record.ok()) continue;  // tombstone
+      MURAL_RETURN_IF_ERROR(TupleCodec::PeekUniText(
+          schema, record->ToStringView(), key_col_, &view));
+      if (view.is_null) continue;  // NULL never matches (SQL WHERE)
+      ++wctx->stats.predicate_evals;
+      int d;
+      if (view.has_phonemes) {
+        d = matcher.Distance(view.phonemes, &wctx->stats.distance);
+      } else {
+        const PhonemeString ph = TransformPhonemesCounted(
+            view.text, plain_text ? lang::kEnglish : view.lang, wctx);
+        d = matcher.Distance(ph, &wctx->stats.distance);
+      }
+      if (d > k) continue;
+      Row row;
+      MURAL_RETURN_IF_ERROR(
+          TupleCodec::Deserialize(schema, record->ToStringView(), &row));
+      if (residual_ != nullptr) {
+        MURAL_ASSIGN_OR_RETURN(const bool pass,
+                               EvalPredicate(*residual_, row, wctx));
+        if (!pass) continue;
+      }
+      slot->push_back(std::move(row));
+    }
   }
-  return d <= k_;
+  return Status::OK();
 }
 
 StatusOr<bool> LexSelectOp::NextImpl(Row* out) {
-  if (probe_null_) return false;
-  while (it_->Valid()) {
-    const std::string& record = it_->record();
-    MURAL_ASSIGN_OR_RETURN(const bool match, RecordMatches(record));
-    if (match) {
-      MURAL_RETURN_IF_ERROR(
-          TupleCodec::Deserialize(table_->schema, record, out));
-      it_->Next();
-      CountRow();
-      return true;
-    }
-    it_->Next();
-  }
-  MURAL_RETURN_IF_ERROR(it_->status());
-  return false;
+  if (result_pos_ >= results_.size()) return false;
+  *out = std::move(results_[result_pos_++]);
+  CountRow();
+  return true;
 }
 
 StatusOr<bool> LexSelectOp::NextBatchImpl(RowBatch* out) {
-  if (probe_null_) return false;
-  // The hot loop of the vectorized Psi scan walks the heap page-wise over
-  // the page directory (chain order == the tuple iterator's emission
-  // order): one Fetch and one shared latch per page, records matched in
-  // place from the page bytes — no per-record copy — and deserialized
-  // only on a hit.  Holding the read guard across the kernel follows the
-  // parallel morsel scan's precedent (parallel_ops.cc).
-  const std::vector<PageId>& pages = table_->heap->pages();
-  BufferPool* pool = table_->heap->pool();
-  while (page_idx_ < pages.size() && !out->full()) {
-    MURAL_ASSIGN_OR_RETURN(const ReadPageGuard guard,
-                           pool->Fetch(pages[page_idx_]));
-    const Page* page = guard.get();
-    while (slot_ < page->NumSlots() && !out->full()) {
-      StatusOr<Slice> record = page->Get(static_cast<SlotId>(slot_++));
-      if (!record.ok()) continue;  // tombstone
-      MURAL_ASSIGN_OR_RETURN(const bool match,
-                             RecordMatches(record->ToStringView()));
-      if (match) {
-        MURAL_RETURN_IF_ERROR(TupleCodec::Deserialize(
-            table_->schema, record->ToStringView(), out->PushRow()));
-      }
-    }
-    if (slot_ >= page->NumSlots()) {
-      ++page_idx_;
-      slot_ = 0;
-    }
+  while (result_pos_ < results_.size() && !out->full()) {
+    *out->PushRow() = std::move(results_[result_pos_++]);
   }
   CountRows(out->num_selected());
-  return page_idx_ < pages.size() || !out->empty();
+  return result_pos_ < results_.size() || !out->empty();
 }
 
 Status LexSelectOp::CloseImpl() {
-  it_.reset();
-  matcher_.reset();
+  results_.clear();
+  result_pos_ = 0;
   return Status::OK();
 }
 
@@ -117,7 +132,10 @@ std::string LexSelectOp::DisplayName() const {
   if (threshold_override_ >= 0) {
     out += StringFormat(" {t=%d}", threshold_override_);
   }
-  out += StringFormat(", batch=%zu)", ctx_->batch_size);
+  if (residual_ != nullptr) out += " AND " + residual_->ToString();
+  out += StringFormat(", batch=%zu", ctx_->batch_size);
+  if (dop_ > 1) out += StringFormat(", dop=%d", dop_);
+  out += ")";
   return out;
 }
 
@@ -141,132 +159,37 @@ LexJoinOp::LexJoinOp(ExecContext* ctx, OpPtr outer, OpPtr inner,
 }
 
 Status LexJoinOp::OpenImpl() {
-  MURAL_RETURN_IF_ERROR(outer_->Open());
   inner_rows_.clear();
   inner_phonemes_.clear();
   inner_valid_.clear();
   results_.clear();
   result_pos_ = 0;
-  const int dop = options_.dop;
-  parallel_mode_ = dop > 1 && ctx_->thread_pool != nullptr;
-  if (parallel_mode_ && options_.inner_table != nullptr) {
-    // The build side is a bare table: skip the inner child entirely and
-    // let build workers drain the heap through page-range morsels.
-    MURAL_RETURN_IF_ERROR(ParallelHeapBuild(dop));
-    outer_valid_ = false;
-    inner_pos_ = 0;
-    return OpenParallel(dop, /*build_done=*/true);
-  }
+  const int k = options_.threshold >= 0 ? options_.threshold
+                                        : ctx_->lexequal_threshold;
+  const int dop = std::max(1, options_.dop);
+  const size_t morsel = std::max<size_t>(1, options_.morsel_size);
+
+  // Drain the inner (build) side; children are not thread-safe.
   MURAL_RETURN_IF_ERROR(inner_->Open());
   Row row;
   while (true) {
     MURAL_ASSIGN_OR_RETURN(const bool more, inner_->Next(&row));
     if (!more) break;
-    const Value& v = row[inner_col_];
-    if (v.is_null()) {
-      inner_phonemes_.emplace_back();
-      inner_valid_.push_back(false);
-    } else if (parallel_mode_) {
-      // Slot reserved here; filled by the parallel build in OpenParallel.
-      inner_phonemes_.emplace_back();
-      inner_valid_.push_back(true);
-    } else {
-      MURAL_ASSIGN_OR_RETURN(PhonemeString ph, PhonemesOf(v, ctx_));
-      inner_phonemes_.push_back(std::move(ph));
-      inner_valid_.push_back(true);
-    }
+    inner_valid_.push_back(!row[inner_col_].is_null());
     inner_rows_.push_back(row);
   }
   MURAL_RETURN_IF_ERROR(inner_->Close());
-  outer_valid_ = false;
-  inner_pos_ = 0;
-  if (parallel_mode_) return OpenParallel(dop, /*build_done=*/false);
-  return Status::OK();
-}
 
-Status LexJoinOp::ParallelHeapBuild(int dop) {
-  // Page-range morsels over the inner table's heap: each worker fetches
-  // its pages through read guards, deserializes, and converts phonemes
-  // into a private slot; the gather concatenates slots in morsel order
-  // (= page chain order), which is exactly the serial drain order.
-  struct BuildSlot {
-    std::vector<Row> rows;
-    std::vector<PhonemeString> phonemes;
-    std::vector<bool> valid;
-  };
-  const TableInfo* table = options_.inner_table;
-  const HeapFile* heap = table->heap.get();
-  BufferPool* pool = heap->pool();
-  const std::vector<PageId>& pages = heap->pages();
-  const size_t n = pages.size();
-  const size_t morsel = std::max<size_t>(1, options_.build_morsel_pages);
-  const size_t num_morsels = n == 0 ? 0 : (n + morsel - 1) / morsel;
-  std::vector<BuildSlot> slots(num_morsels);
-  std::vector<ExecContext> build_ctxs(num_morsels, ctx_->WorkerClone());
-  MURAL_RETURN_IF_ERROR(ParallelMorsels(
-      ctx_->thread_pool, n, morsel, dop,
-      [this, table, pool, &pages, &slots, &build_ctxs](
-          size_t m, size_t begin, size_t end) {
-        ExecContext* wctx = &build_ctxs[m];
-        BuildSlot* slot = &slots[m];
-        Row row;
-        for (size_t p = begin; p < end; ++p) {
-          MURAL_ASSIGN_OR_RETURN(const ReadPageGuard guard,
-                                 pool->Fetch(pages[p]));
-          const Page* page = guard.get();
-          for (SlotId s = 0; s < page->NumSlots(); ++s) {
-            StatusOr<Slice> record = page->Get(s);
-            if (!record.ok()) continue;  // tombstone
-            MURAL_RETURN_IF_ERROR(TupleCodec::Deserialize(
-                table->schema, record->ToStringView(), &row));
-            const Value& v = row[inner_col_];
-            if (v.is_null()) {
-              slot->phonemes.emplace_back();
-              slot->valid.push_back(false);
-            } else {
-              MURAL_ASSIGN_OR_RETURN(PhonemeString ph, PhonemesOf(v, wctx));
-              slot->phonemes.push_back(std::move(ph));
-              slot->valid.push_back(true);
-            }
-            slot->rows.push_back(row);
-          }
-        }
-        return Status::OK();
-      }));
-  size_t total = 0;
-  for (const BuildSlot& slot : slots) total += slot.rows.size();
-  inner_rows_.reserve(total);
-  inner_phonemes_.reserve(total);
-  inner_valid_.reserve(total);
-  for (size_t m = 0; m < num_morsels; ++m) {
-    ctx_->stats.Merge(build_ctxs[m].stats);
-    cache_hits_ += build_ctxs[m].stats.phoneme_cache_hits;
-    cache_misses_ += build_ctxs[m].stats.phoneme_cache_misses;
-    for (Row& r : slots[m].rows) inner_rows_.push_back(std::move(r));
-    for (PhonemeString& ph : slots[m].phonemes) {
-      inner_phonemes_.push_back(std::move(ph));
-    }
-    for (const bool v : slots[m].valid) inner_valid_.push_back(v);
-  }
-  return Status::OK();
-}
-
-Status LexJoinOp::OpenParallel(int dop, bool build_done) {
-  const int k = options_.threshold >= 0 ? options_.threshold
-                                        : ctx_->lexequal_threshold;
-  const size_t morsel = std::max<size_t>(1, options_.morsel_size);
-
-  // Build phase: convert the materialized inner side's phonemes in
-  // parallel.  Morsels own disjoint index ranges, so the writes to
-  // inner_phonemes_ slots never alias; each morsel gets its own context
-  // clone so stats accumulation is race-free (merged below, in order).
-  // Skipped when the heap build already converted during its drain.
+  // Build phase: convert the inner keys' phonemes in morsels.  Morsels own
+  // disjoint index ranges, so the writes to inner_phonemes_ never alias;
+  // each morsel gets its own context clone so stats accumulation is
+  // race-free (merged below, in order).
   const size_t n_inner = inner_rows_.size();
-  const size_t build_morsels =
-      build_done || n_inner == 0 ? 0 : (n_inner + morsel - 1) / morsel;
+  inner_phonemes_.resize(n_inner);
+  const size_t build_morsels = (n_inner + morsel - 1) / morsel;
   std::vector<ExecContext> build_ctxs(build_morsels, ctx_->WorkerClone());
   MURAL_RETURN_IF_ERROR(ParallelMorsels(
-      ctx_->thread_pool, build_done ? 0 : n_inner, morsel, dop,
+      ctx_->thread_pool, n_inner, morsel, dop,
       [this, &build_ctxs](size_t m, size_t begin, size_t end) {
         ExecContext* wctx = &build_ctxs[m];
         for (size_t i = begin; i < end; ++i) {
@@ -277,9 +200,9 @@ Status LexJoinOp::OpenParallel(int dop, bool build_done) {
         return Status::OK();
       }));
 
-  // Drain the outer side serially (children are not thread-safe).
+  // Drain the outer (probe) side.
+  MURAL_RETURN_IF_ERROR(outer_->Open());
   std::vector<Row> outer_rows;
-  Row row;
   while (true) {
     MURAL_ASSIGN_OR_RETURN(const bool more, outer_->Next(&row));
     if (!more) break;
@@ -287,11 +210,10 @@ Status LexJoinOp::OpenParallel(int dop, bool build_done) {
   }
 
   // Probe phase: each outer morsel joins against the whole inner side into
-  // its own result slot.  The outer row's phonemes are computed once per
-  // row (hoisted) through the shared cache.
+  // its own result slot.  The outer row's phonemes are looked up once and
+  // prepared once as a matcher, which every inner key then runs against.
   const size_t n_outer = outer_rows.size();
-  const size_t probe_morsels =
-      n_outer == 0 ? 0 : (n_outer + morsel - 1) / morsel;
+  const size_t probe_morsels = (n_outer + morsel - 1) / morsel;
   std::vector<std::vector<Row>> slots(probe_morsels);
   std::vector<ExecContext> probe_ctxs(probe_morsels, ctx_->WorkerClone());
   MURAL_RETURN_IF_ERROR(ParallelMorsels(
@@ -305,11 +227,12 @@ Status LexJoinOp::OpenParallel(int dop, bool build_done) {
           if (v.is_null()) continue;
           MURAL_ASSIGN_OR_RETURN(const PhonemeString outer_ph,
                                  PhonemesOf(v, wctx));
+          BoundedMyersMatcher matcher(outer_ph, k);
           for (size_t i = 0; i < inner_rows_.size(); ++i) {
             if (!inner_valid_[i]) continue;
             ++wctx->stats.predicate_evals;
-            const int d = BoundedDistanceCounted(
-                outer_ph, inner_phonemes_[i], k, &wctx->stats.distance);
+            const int d =
+                matcher.Distance(inner_phonemes_[i], &wctx->stats.distance);
             if (d > k) continue;
             Row out;
             out.reserve(schema_.NumColumns());
@@ -324,7 +247,7 @@ Status LexJoinOp::OpenParallel(int dop, bool build_done) {
       }));
 
   // Gather: merge stats and flatten slots in morsel-index order, which is
-  // exactly the serial emission order (outer order x inner order).
+  // outer order x inner order at every DOP.
   for (const ExecContext& wctx : build_ctxs) {
     ctx_->stats.Merge(wctx.stats);
     cache_hits_ += wctx.stats.phoneme_cache_hits;
@@ -343,47 +266,10 @@ Status LexJoinOp::OpenParallel(int dop, bool build_done) {
 }
 
 StatusOr<bool> LexJoinOp::NextImpl(Row* out) {
-  if (parallel_mode_) {
-    if (result_pos_ >= results_.size()) return false;
-    *out = results_[result_pos_++];
-    CountRow();
-    return true;
-  }
-  const int k = options_.threshold >= 0 ? options_.threshold
-                                        : ctx_->lexequal_threshold;
-  while (true) {
-    if (!outer_valid_) {
-      MURAL_ASSIGN_OR_RETURN(const bool more, outer_->Next(&outer_row_));
-      if (!more) return false;
-      const Value& v = outer_row_[outer_col_];
-      outer_null_ = v.is_null();
-      if (!outer_null_) {
-        MURAL_ASSIGN_OR_RETURN(outer_phonemes_, PhonemesOf(v, ctx_));
-      }
-      outer_valid_ = true;
-      inner_pos_ = 0;
-    }
-    if (outer_null_) {
-      outer_valid_ = false;
-      continue;
-    }
-    while (inner_pos_ < inner_rows_.size()) {
-      const size_t i = inner_pos_++;
-      if (!inner_valid_[i]) continue;
-      ++ctx_->stats.predicate_evals;
-      const int d = BoundedDistanceCounted(
-          outer_phonemes_, inner_phonemes_[i], k, &ctx_->stats.distance);
-      if (d > k) continue;
-      out->clear();
-      out->reserve(schema_.NumColumns());
-      out->insert(out->end(), outer_row_.begin(), outer_row_.end());
-      out->insert(out->end(), inner_rows_[i].begin(), inner_rows_[i].end());
-      if (options_.tag_distance) out->push_back(Value::Int32(d));
-      CountRow();
-      return true;
-    }
-    outer_valid_ = false;
-  }
+  if (result_pos_ >= results_.size()) return false;
+  *out = std::move(results_[result_pos_++]);
+  CountRow();
+  return true;
 }
 
 Status LexJoinOp::CloseImpl() {

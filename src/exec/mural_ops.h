@@ -1,10 +1,15 @@
 // Physical operators for the multilingual algebra (paper §3.2, §4):
 //
+//  - LexSelectOp (Psi scan): the Psi(col, constant) selection fused into
+//    a morsel-parallel heap scan.
+//
 //  - LexJoinOp (Psi join): phoneme-space approximate join.  The algebraic
 //    Psi tags every pair of the Cartesian product with the phonemic edit
 //    distance; this operator folds in the threshold selection (as every
 //    query in the paper does) and optionally emits the distance as an
 //    extra column for downstream operators.
+//
+//  - LexIndexJoinOp: the index nested-loop Psi join over an M-Tree.
 //
 //  - SemJoinOp (Omega join): taxonomy-subsumption join.  Implements the
 //    optimizations of §4.3: the RHS operand drives the (outer) loop so one
@@ -25,24 +30,36 @@
 
 namespace mural {
 
-/// Psi selection pushed into the scan: a fused heap-scan + LexEQUAL filter
-/// leaf, the batch-native form of Filter(Psi(col, constant)) over SeqScan.
+/// Psi selection pushed into the scan: the one Psi scan leaf, a fused
+/// heap-scan + LexEQUAL filter that runs at any DOP and batch size.
 ///
-/// The probe constant's phonemes are hoisted once at Open; per record the
-/// operator peeks only the key column out of the serialized tuple
-/// (TupleCodec::PeekUniText, zero-copy) and runs the bounded bit-parallel
-/// kernel, deserializing the full row only for matches (late
-/// materialization).  Distance calls go through a BoundedMyersMatcher
-/// prepared once at Open — result- and call-count-identical to the
-/// BoundedDistanceCounted path the Filter-over-SeqScan plan takes, so
-/// rows, predicate_evals, and distance_calls agree with that plan; only
-/// word-op and phoneme-cache counters can differ (the matcher's Peq table
-/// and the constant's phonemes are built once, not per row).
+/// The probe constant's phonemes are hoisted once at Open.  Workers claim
+/// page-range morsels over the heap's page directory (ParallelMorsels;
+/// inline at DOP 1) and scan them through read guards: per record they
+/// peek only the key column out of the serialized tuple
+/// (TupleCodec::PeekUniText, zero-copy), run a BoundedMyersMatcher
+/// prepared once per morsel, and deserialize the full row only for matches
+/// (late materialization).  `residual` carries the predicate's other
+/// top-level conjuncts (e.g. a LangIn) and is evaluated on matched rows
+/// only.
+///
+/// Determinism: each morsel filters into its own result slot under its own
+/// WorkerClone() context; the gather concatenates slots and merges stats
+/// in morsel order, so rows, their order, and ExecStats do not depend on
+/// DOP.  Next and NextBatch both replay the gathered rows.
 class LexSelectOp : public PhysicalOp {
  public:
+  /// Pages per morsel.  A page holds on the order of 10^2 name rows, so
+  /// even a handful of pages amortizes the worker hand-off.
+  static constexpr size_t kDefaultMorselPages = 4;
+
   /// `threshold_override` < 0 means "use ctx->lexequal_threshold".
+  /// `residual` may be null.  `dop` > 1 with a thread pool in the context
+  /// runs the morsels on the pool.
   LexSelectOp(ExecContext* ctx, const TableInfo* table, size_t key_col,
-              Value probe, int threshold_override = -1);
+              Value probe, int threshold_override = -1,
+              ExprPtr residual = nullptr, int dop = 1,
+              size_t morsel_pages = kDefaultMorselPages);
 
   [[nodiscard]] Status OpenImpl() override;
   [[nodiscard]] StatusOr<bool> NextImpl(Row* out) override;
@@ -52,22 +69,22 @@ class LexSelectOp : public PhysicalOp {
   std::string DisplayName() const override;
 
  private:
-  /// Peeks the key column of `record`, runs the kernel, and reports
-  /// whether the row matches (NULL key never matches).
-  [[nodiscard]] StatusOr<bool> RecordMatches(std::string_view record);
+  /// Scans heap pages [begin, end) into `slot`: key peek + kernel, then
+  /// deserialization and the residual on matches only.
+  [[nodiscard]] Status ScanPages(size_t begin, size_t end, int k,
+                                 const PhonemeString& probe_phonemes,
+                                 ExecContext* wctx, std::vector<Row>* slot);
 
   const TableInfo* table_;
   size_t key_col_;
   Value probe_;
   int threshold_override_;
+  ExprPtr residual_;
+  int dop_;
+  size_t morsel_pages_;
 
-  std::optional<HeapFile::Iterator> it_;  // tuple-path cursor
-  size_t page_idx_ = 0;                   // batch-path cursor (page-wise)
-  int slot_ = 0;
-  PhonemeString probe_phonemes_;
-  std::optional<BoundedMyersMatcher> matcher_;  // prepared at Open
-  bool probe_null_ = false;
-  int k_ = 0;  // effective threshold, resolved at Open
+  std::vector<Row> results_;
+  size_t result_pos_ = 0;
 };
 
 /// Psi join: matches outer.col_left with inner.col_right under the
@@ -78,25 +95,18 @@ struct LexJoinOptions {
   /// Append an INT column "psi_distance" with the pair's distance.
   bool tag_distance = false;
   /// Degree of parallelism for the build/probe phases.  > 1 (with a
-  /// thread pool in the context) switches to the morsel-parallel path:
-  /// inner phoneme construction and outer probing run as morsels on the
-  /// pool, gathered in morsel order so output order is identical to the
-  /// serial path.
+  /// thread pool in the context) runs the morsels on the pool; the
+  /// gather is in morsel order, so output order does not depend on it.
   int dop = 1;
-  /// Rows per morsel in the parallel phases (tests shrink this to force
-  /// multi-morsel execution on small inputs).
+  /// Rows per morsel in the build and probe phases (tests shrink this to
+  /// force multi-morsel execution on small inputs).
   size_t morsel_size = 2048;
-  /// When the inner input is a bare table scan, the planner passes the
-  /// table here and the parallel path skips the inner child entirely:
-  /// build workers claim page-range morsels over the heap and drain it
-  /// through read guards (deserialize + G2P per morsel), gathered in
-  /// chain order so the build side is bit-identical to a serial drain.
-  /// nullptr (or dop <= 1) falls back to draining the inner child.
-  const TableInfo* inner_table = nullptr;
-  /// Heap pages per build morsel when `inner_table` drives the build.
-  size_t build_morsel_pages = 4;
 };
 
+/// One build/probe path at every DOP: Open drains the inner child and
+/// converts its keys' phonemes in morsels, drains the outer child, and
+/// probes in morsels — each outer row prepares one BoundedMyersMatcher and
+/// runs it over the whole inner side.  Next replays the gathered result.
 class LexJoinOp : public PhysicalOp {
  public:
   using Options = LexJoinOptions;
@@ -114,11 +124,6 @@ class LexJoinOp : public PhysicalOp {
   }
 
  private:
-  /// `build_done` skips the phoneme build phase (ParallelHeapBuild
-  /// already produced inner_phonemes_ during its heap drain).
-  [[nodiscard]] Status OpenParallel(int dop, bool build_done);
-  [[nodiscard]] Status ParallelHeapBuild(int dop);
-
   OpPtr outer_, inner_;
   size_t outer_col_, inner_col_;
   Options options_;
@@ -130,15 +135,6 @@ class LexJoinOp : public PhysicalOp {
   std::vector<PhonemeString> inner_phonemes_;
   std::vector<bool> inner_valid_;
 
-  Row outer_row_;
-  PhonemeString outer_phonemes_;
-  bool outer_valid_ = false;
-  bool outer_null_ = false;
-  size_t inner_pos_ = 0;
-
-  // Parallel (dop > 1) path: the join result is computed during Open and
-  // replayed by Next in deterministic (serial-identical) order.
-  bool parallel_mode_ = false;
   std::vector<Row> results_;
   size_t result_pos_ = 0;
   uint64_t cache_hits_ = 0;    // phoneme-cache lookups by this operator

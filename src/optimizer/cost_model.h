@@ -100,10 +100,11 @@ class CostModel {
   Cost PsiScanNoIndex(const RelProfile& rel, int k) const;
   Cost PsiScanMTree(const RelProfile& rel, int k) const;
 
-  /// Vectorized Psi scan (the fused LexSelect leaf): same I/O and distance
-  /// terms as PsiScanNoIndex — the kernel is shared between paths — but
-  /// the per-tuple dispatch cost is paid once per batch, with a smaller
-  /// per-row residual (cpu_batch_row_cost).
+  /// The Psi scan leaf (LexSelect) at `batch_size`: same I/O and distance
+  /// terms as PsiScanNoIndex, but the per-tuple dispatch cost is paid once
+  /// per batch, with a smaller per-row residual (cpu_batch_row_cost).
+  /// batch_size 0 (tuple-at-a-time) is PsiScanNoIndex.  The planner feeds
+  /// this to Parallelize for the leaf's DOP.
   Cost PsiScanBatched(const RelProfile& rel, int k, size_t batch_size) const;
 
   /// Omega scan-type: closure computed once, then n membership probes.
@@ -134,7 +135,7 @@ class CostModel {
   // ------------------------------------------------- parallelism
   /// Cost of running a CPU-bound operator with `dop` morsel workers: the
   /// Table-3 CPU term divides by dop (morsels are embarrassingly
-  /// parallel), the I/O term does not (input is drained serially), and
+  /// parallel), the I/O term does not (workers share one buffer pool), and
   /// setup/coordination overhead is added so small inputs stay serial.
   Cost Parallelize(const Cost& serial, int dop) const;
 

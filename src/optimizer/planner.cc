@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/string_util.h"
-#include "exec/parallel_ops.h"
 
 namespace mural {
 
@@ -289,72 +288,74 @@ StatusOr<Planner::Planned> Planner::PlanScan(const LogicalNode& node,
   }
   const double out_rows = std::max(1.0, base_rows * sel);
 
-  // --- candidate 1: seq scan + filter
   Planned best;
   best.base_table = table;
   best.base_stats = tstats;
   best.rows = out_rows;
-  // Whole-predicate Psi(col, constant) match, shared by the tuple-path
-  // costing here and the vectorized-leaf swap at the end of this function.
+  std::vector<ExprPtr> conjuncts;
+  FlattenConjuncts(node.predicate, &conjuncts);
+
+  // --- the Psi scan leaf: LexSelect whenever a top-level conjunct is
+  // Psi(col, literal); the other conjuncts ride along as its residual.
+  // One cost formula: the batched Table-3 scan, divided across DOP when
+  // that is cheaper.
   size_t psi_col = 0;
   Value psi_const;
   int psi_k_override = -1;
-  RelProfile psi_rel = rel;
-  int psi_k = ctx_->lexequal_threshold;
-  const bool whole_psi =
-      !hints.opaque_multilingual &&
-      MatchPsiConstant(*node.predicate, &psi_col, &psi_const,
-                       &psi_k_override);
-  // Tracks whether `best` is still the tuple-at-a-time filter scan when
-  // all candidates have been compared (the vectorized swap's guard).
-  bool best_is_filter_scan = true;
-  {
-    if (whole_psi) {
-      const ColumnStats* cs =
-          tstats != nullptr
-              ? tstats->Column(table->schema.column(psi_col).name)
-              : nullptr;
-      psi_rel.avg_len = cs != nullptr && cs->avg_phoneme_len > 0
-                            ? cs->avg_phoneme_len
-                            : 12.0;
-      psi_k = psi_k_override >= 0 ? psi_k_override
-                                  : ctx_->lexequal_threshold;
-      best.cost = cost_model_.PsiScanNoIndex(psi_rel, psi_k);
-    } else if (!hints.opaque_multilingual && ContainsPsi(*node.predicate)) {
+  bool psi_leaf = false;
+  ExprPtr residual;
+  if (!hints.opaque_multilingual) {
+    for (const ExprPtr& conjunct : conjuncts) {
+      if (!psi_leaf && MatchPsiConstant(*conjunct, &psi_col, &psi_const,
+                                        &psi_k_override)) {
+        psi_leaf = true;
+        continue;
+      }
+      residual = residual == nullptr ? conjunct : And(residual, conjunct);
+    }
+  }
+  if (psi_leaf) {
+    RelProfile psi_rel = rel;
+    const ColumnStats* cs =
+        tstats != nullptr ? tstats->Column(table->schema.column(psi_col).name)
+                          : nullptr;
+    psi_rel.avg_len = cs != nullptr && cs->avg_phoneme_len > 0
+                          ? cs->avg_phoneme_len
+                          : 12.0;
+    const int k =
+        psi_k_override >= 0 ? psi_k_override : ctx_->lexequal_threshold;
+    const Cost serial =
+        cost_model_.PsiScanBatched(psi_rel, k, ctx_->batch_size);
+    // Omega in the residual keeps the scan serial: the closure cache is
+    // not thread-safe.
+    int dop = residual != nullptr && ContainsOmega(*residual)
+                  ? 1
+                  : EffectiveDop(hints);
+    best.cost = cost_model_.Parallelize(serial, dop);
+    if (best.cost.total() >= serial.total()) {
+      best.cost = serial;
+      dop = 1;
+    }
+    best.op = std::make_unique<LexSelectOp>(ctx_, table, psi_col, psi_const,
+                                            psi_k_override, residual, dop);
+  } else {
+    // --- the generic path: Filter(SeqScan).  Psi predicates land here
+    // only when opaque (outside-the-server) or not of the Psi(col, literal)
+    // form (an OR, or Psi(col, col)).
+    if (!hints.opaque_multilingual && ContainsPsi(*node.predicate)) {
       best.cost = cost_model_.PsiScanNoIndex(rel, ctx_->lexequal_threshold);
     } else {
+      // Opaque Psi UDFs still run per row; the engine simply cannot model
+      // them.  Charging the generic operator cost only is exactly the
+      // mis-costing that makes outside-the-server plans poor (paper §5.3).
       best.cost = cost_model_.SeqScan(rel);
       best.cost.cpu += base_rows * cost_model_.params().cpu_operator_cost;
-      if (hints.opaque_multilingual && ContainsPsi(*node.predicate)) {
-        // The engine still executes the UDF per row; it simply cannot
-        // model it.  Charge the generic operator cost only — this is
-        // exactly the mis-costing that makes outside-the-server plans
-        // poor (paper §5.3 discussion).
-      }
     }
     best.op = std::make_unique<FilterOp>(
         ctx_, std::make_unique<SeqScanOp>(ctx_, table), node.predicate);
   }
 
-  // --- candidate 1b: morsel-parallel Psi scan.  The Table-3 CPU term
-  // divides by DOP; setup/worker overhead keeps small inputs serial.
-  // Omega predicates are excluded: the closure cache is not thread-safe,
-  // so workers would recompute closures per morsel.
-  const int dop = EffectiveDop(hints);
-  if (dop > 1 && !hints.opaque_multilingual &&
-      ContainsPsi(*node.predicate) && !ContainsOmega(*node.predicate)) {
-    const Cost par_cost = cost_model_.Parallelize(best.cost, dop);
-    if (par_cost.total() < best.cost.total()) {
-      best.cost = par_cost;
-      best.op = std::make_unique<ParallelLexScanOp>(ctx_, table,
-                                                    node.predicate, dop);
-      best_is_filter_scan = false;
-    }
-  }
-
-  // --- candidate 2: index scans over one indexable conjunct
-  std::vector<ExprPtr> conjuncts;
-  FlattenConjuncts(node.predicate, &conjuncts);
+  // --- index scans over one indexable conjunct
   for (const ExprPtr& conjunct : conjuncts) {
     size_t col;
     Value constant;
@@ -393,7 +394,6 @@ StatusOr<Planner::Planned> Planner::PlanScan(const LogicalNode& node,
           best.rows = out_rows;
           best.op = std::make_unique<IndexScanOp>(ctx_, table, index, probe,
                                                   node.predicate);
-          best_is_filter_scan = false;
         }
       }
     }
@@ -418,27 +418,11 @@ StatusOr<Planner::Planned> Planner::PlanScan(const LogicalNode& node,
           best.rows = out_rows;
           best.op = std::make_unique<IndexScanOp>(ctx_, table, index, probe,
                                                   node.predicate);
-          best_is_filter_scan = false;
         }
       }
     }
   }
 
-  // --- candidate 1c: vectorized Psi scan (the fused LexSelect leaf).
-  // Considered only when the tuple filter scan is still the winner: the
-  // index-vs-scan and parallel-vs-serial races above stay on the paper's
-  // per-tuple cost basis (Table 3), and batching then upgrades the serial
-  // scan it costs with per-batch dispatch + per-row residual terms.
-  if (best_is_filter_scan && whole_psi && ctx_->batch_size > 0) {
-    const Cost batch_cost =
-        cost_model_.PsiScanBatched(psi_rel, psi_k, ctx_->batch_size);
-    if (batch_cost.total() < best.cost.total()) {
-      best.cost = batch_cost;
-      best.rows = out_rows;
-      best.op = std::make_unique<LexSelectOp>(ctx_, table, psi_col,
-                                              psi_const, psi_k_override);
-    }
-  }
   return best;
 }
 
@@ -560,16 +544,7 @@ StatusOr<Planner::Planned> Planner::PlanPsiJoin(const LogicalNode& node,
   LexJoinOp::Options options;
   options.threshold = node.psi_threshold;
   options.tag_distance = node.psi_tag_distance;
-  if (parallel_wins) {
-    options.dop = dop;
-    // Bare table scan on the build side: let the join's build workers
-    // drain the heap directly through page-range morsels instead of
-    // serializing behind the child operator.
-    if (r.base_table != nullptr &&
-        dynamic_cast<const SeqScanOp*>(r.op.get()) != nullptr) {
-      options.inner_table = r.base_table;
-    }
-  }
+  if (parallel_wins) options.dop = dop;
   out.op = std::make_unique<LexJoinOp>(ctx_, std::move(l.op),
                                        std::move(r.op), node.left_col,
                                        node.right_col, options);

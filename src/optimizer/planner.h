@@ -35,7 +35,7 @@ struct PlannerHints {
   bool opaque_multilingual = false;
   /// Degree of parallelism for morsel-parallel Psi operators.
   /// -1 = inherit the session setting (ctx->degree_of_parallelism);
-  ///  1 = force serial plans.  Parallel candidates are only generated
+  ///  1 = force serial plans.  Psi operators are only costed at DOP > 1
   /// when the session has a thread pool.
   int degree_of_parallelism = -1;
 };

@@ -278,8 +278,11 @@ Status Server::ServeConnection(int fd) {
       }
     }
   }
-  ::close(fd);
+  // Unregister before closing: once closed, accept() may hand the same fd
+  // number to a new connection, which this erase would then drop from
+  // conns_ (and Stop() would never shut it down).
   UnregisterConnection(fd);
+  ::close(fd);
   Metrics().active->Add(-1);
   return Status::OK();
 }

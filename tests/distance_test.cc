@@ -375,8 +375,8 @@ TEST(DistanceStatsTest, DispatcherCountingRules) {
 }
 
 // The prepared matcher must mirror the dispatcher's counting rules
-// call-for-call, since LexSelectOp's stats are compared against the
-// Filter plan's dispatcher-based stats.
+// call-for-call, since the Psi operators' stats (matcher-based) are
+// compared against the generic Filter plan's dispatcher-based stats.
 TEST(DistanceStatsTest, MatcherMirrorsDispatcherCounting) {
   {
     // k < 0: rejected before any counting.

@@ -309,15 +309,16 @@ TEST_F(EngineTest, BooksDatasetLoadsAndJoins) {
 TEST_F(EngineTest, ExplainAnalyzeReportsActualRows) {
   LoadNames(50, 3);
   db_->SetLexequalThreshold(2);
-  // Pin the tuple-at-a-time plan: the assertions below inspect the
-  // Filter-over-SeqScan shape (the batch path fuses them into LexSelect).
-  db_->SetBatchSize(0);
+  // The assertions below inspect a two-node Filter-over-SeqScan tree,
+  // which a Psi predicate plans only when opaque (outside-the-server).
+  PlannerHints opaque;
+  opaque.opaque_multilingual = true;
   auto plan =
       MuralBuilder::Scan("names",
                          (*db_->catalog()->GetTable("names"))->schema)
           .PsiSelect("name", names_[0].name)
           .Build();
-  auto result = db_->Query(plan);
+  auto result = db_->Query(plan, opaque);
   ASSERT_TRUE(result.ok());
   // The analyzed plan carries per-operator actual row counts; the scan
   // line must report the full table, the filter line the result size.

@@ -192,7 +192,7 @@ TEST_F(OptimizerTest, PlannerPicksMTreeForSelectivePsiScan) {
                   .ok());
   db_->SetLexequalThreshold(1);
   // Pin the tuple-at-a-time path: this test compares the index race
-  // against the serial filter scan specifically.
+  // against the scan leaf's per-tuple (Table 3) cost specifically.
   db_->SetBatchSize(0);
   auto plan = MuralBuilder::Scan(
                   "names", (*db_->catalog()->GetTable("names"))->schema)
@@ -203,13 +203,14 @@ TEST_F(OptimizerTest, PlannerPicksMTreeForSelectivePsiScan) {
   EXPECT_NE(physical->Explain().find("mtreeIndexScan"), std::string::npos)
       << physical->Explain();
 
-  // Disabling the metric index forces the filter plan.
+  // Disabling the metric index forces the scan leaf.
   PlannerHints hints;
   hints.enable_mtree = false;
   auto forced = db_->PlanQuery(plan, hints);
   ASSERT_TRUE(forced.ok());
   EXPECT_EQ(forced->Explain().find("mtreeIndexScan"), std::string::npos);
-  EXPECT_NE(forced->Explain().find("Filter"), std::string::npos);
+  EXPECT_NE(forced->Explain().find("LexSelect("), std::string::npos)
+      << forced->Explain();
   // And the optimizer believed the index plan was cheaper.
   EXPECT_LT(physical->predicted_cost.total(),
             forced->predicted_cost.total());
@@ -294,11 +295,13 @@ TEST_F(OptimizerTest, SerialPlanAtDopOneAndAtSmallCardinality) {
   PlannerHints hints;
   hints.enable_mtree = false;
 
-  // Explicit DOP = 1: never a parallel operator.
+  // Explicit DOP = 1: the Psi leaf runs serially.
   hints.degree_of_parallelism = 1;
   auto serial = db_->PlanQuery(plan, hints);
   ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(serial->Explain().find("ParallelLexScan"), std::string::npos)
+  EXPECT_NE(serial->Explain().find("LexSelect("), std::string::npos)
+      << serial->Explain();
+  EXPECT_EQ(serial->Explain().find("dop="), std::string::npos)
       << serial->Explain();
 
   // DOP = 4 but only 1000 rows at threshold 2: the Table-3 CPU term
@@ -308,7 +311,9 @@ TEST_F(OptimizerTest, SerialPlanAtDopOneAndAtSmallCardinality) {
   hints.degree_of_parallelism = 4;
   auto small = db_->PlanQuery(plan, hints);
   ASSERT_TRUE(small.ok());
-  EXPECT_EQ(small->Explain().find("ParallelLexScan"), std::string::npos)
+  EXPECT_NE(small->Explain().find("LexSelect("), std::string::npos)
+      << small->Explain();
+  EXPECT_EQ(small->Explain().find("dop="), std::string::npos)
       << small->Explain();
 }
 
@@ -326,16 +331,20 @@ TEST_F(OptimizerTest, ParallelPlanWhenCpuTermDominates) {
   hints.degree_of_parallelism = 4;
   auto par = db_->PlanQuery(plan, hints);
   ASSERT_TRUE(par.ok());
-  EXPECT_NE(par->Explain().find("ParallelLexScan"), std::string::npos)
+  EXPECT_NE(par->Explain().find("LexSelect("), std::string::npos)
       << par->Explain();
-  EXPECT_NE(par->Explain().find("dop=4"), std::string::npos);
+  EXPECT_NE(par->Explain().find("dop=4"), std::string::npos)
+      << par->Explain();
 
   // The opaque-multilingual hint (paper §4.1: engine can't see inside the
   // predicate) also blocks parallel rewrites.
   hints.opaque_multilingual = true;
   auto opaque = db_->PlanQuery(plan, hints);
   ASSERT_TRUE(opaque.ok());
-  EXPECT_EQ(opaque->Explain().find("ParallelLexScan"), std::string::npos);
+  EXPECT_EQ(opaque->Explain().find("LexSelect"), std::string::npos)
+      << opaque->Explain();
+  EXPECT_EQ(opaque->Explain().find("dop="), std::string::npos)
+      << opaque->Explain();
 }
 
 TEST_F(OptimizerTest, PredictedRowsTrackActualForPsiScan) {

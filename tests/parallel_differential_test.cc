@@ -6,10 +6,10 @@
 // slots in morsel-index order.
 //
 // Two layers:
-//   1. Operator-level: ParallelLexScanOp over a real table heap (workers
-//      claim page-range morsels and scan through read guards — there is
-//      no serial drain phase to hide behind) and LexJoinOp over seeded
-//      ValuesOp inputs, with small morsels so inputs span many morsels.
+//   1. Operator-level: LexSelectOp over a real table heap (workers claim
+//      page-range morsels and scan through read guards) against a
+//      Filter(SeqScan) reference, and LexJoinOp over seeded ValuesOp
+//      inputs, with small morsels so inputs span many morsels.
 //   2. Planner-level: full Database queries under a degree_of_parallelism
 //      hint sweep, with datasets sized so the cost model actually picks
 //      the parallel plan at dop > 1.
@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -30,7 +31,6 @@
 #include "engine/database.h"
 #include "exec/basic_ops.h"
 #include "exec/mural_ops.h"
-#include "exec/parallel_ops.h"
 #include "exec/scan_ops.h"
 #include "mural/algebra.h"
 #include "phonetic/phoneme_cache.h"
@@ -40,6 +40,7 @@ namespace {
 
 constexpr uint64_t kSeeds[] = {42, 7, 1234};
 constexpr int kDops[] = {1, 2, 4, 8};
+constexpr size_t kBatches[] = {0, 1, 7, 1024};
 
 std::string RenderRow(const Row& row) {
   std::string out;
@@ -131,7 +132,7 @@ class OperatorDifferentialTest : public ::testing::Test {
   PhonemeCache cache_{1 << 14};
 };
 
-TEST_F(OperatorDifferentialTest, ParallelLexScanMatchesSerialFilter) {
+TEST_F(OperatorDifferentialTest, LexSelectMatchesSerialFilter) {
   for (const uint64_t seed : kSeeds) {
     for (const bool materialize : {true, false}) {
       auto db_or = MakeNamesDatabase(/*bases=*/300, /*variants=*/4, seed,
@@ -149,34 +150,126 @@ TEST_F(OperatorDifferentialTest, ParallelLexScanMatchesSerialFilter) {
       gen.num_bases = 300;
       gen.variants_per_base = 4;
       const UniText probe = GenerateNames(gen).front().name;
-      auto predicate = [&] {
-        return LexEq(Col(1, "name"), Lit(Value::Uni(probe)), 2);
-      };
 
       // Serial reference: FilterOp over a serial SeqScan of the same heap.
       ExecContext serial_ctx = MakeCtx(1);
       FilterOp serial(&serial_ctx,
                       std::make_unique<SeqScanOp>(&serial_ctx, table),
-                      predicate());
+                      LexEq(Col(1, "name"), Lit(Value::Uni(probe)), 2));
       StatusOr<std::vector<Row>> expected = CollectAll(&serial);
       ASSERT_TRUE(expected.ok());
       ASSERT_FALSE(expected->empty());
 
       for (const int dop : kDops) {
-        ExecContext ctx = MakeCtx(dop);
-        // One page per morsel: the heap spans several pages, so every
-        // dop > 1 run splits the scan across many page-range morsels.
-        ParallelLexScanOp scan(&ctx, table, predicate(), dop,
-                               /*morsel_pages=*/1);
-        StatusOr<std::vector<Row>> actual = CollectAll(&scan);
-        ASSERT_TRUE(actual.ok()) << "seed=" << seed << " dop=" << dop;
-        // Bit-identical including order (morsel-order gather follows the
-        // page chain order, which is the serial scan order).
-        EXPECT_EQ(RenderAll(*actual), RenderAll(*expected))
-            << "seed=" << seed << " dop=" << dop
-            << " materialize=" << materialize;
+        for (const size_t batch : kBatches) {
+          ExecContext ctx = MakeCtx(dop);
+          ctx.batch_size = batch;
+          // One page per morsel: the heap spans several pages, so every
+          // dop > 1 run splits the scan across many page-range morsels.
+          LexSelectOp scan(&ctx, table, /*key_col=*/1, Value::Uni(probe),
+                           /*threshold_override=*/2, /*residual=*/nullptr,
+                           dop, /*morsel_pages=*/1);
+          StatusOr<std::vector<Row>> actual = CollectAll(&scan);
+          ASSERT_TRUE(actual.ok()) << "seed=" << seed << " dop=" << dop;
+          // Bit-identical including order (morsel-order gather follows
+          // the page chain order, which is the serial scan order).
+          EXPECT_EQ(RenderAll(*actual), RenderAll(*expected))
+              << "seed=" << seed << " dop=" << dop << " batch=" << batch
+              << " materialize=" << materialize;
+        }
       }
     }
+  }
+}
+
+TEST_F(OperatorDifferentialTest, LexSelectResidualMatchesSerialFilter) {
+  // Psi AND LangIn: the residual runs on key matches only, and the result
+  // equals the Filter(SeqScan) reference over the whole conjunction.
+  auto db_or = MakeNamesDatabase(/*bases=*/300, /*variants=*/4, /*seed=*/7,
+                                 /*materialize=*/true);
+  ASSERT_TRUE(db_or.ok());
+  std::unique_ptr<Database> db = std::move(*db_or);
+  auto table_or = db->catalog()->GetTable("names");
+  ASSERT_TRUE(table_or.ok());
+  const TableInfo* table = *table_or;
+
+  NameGenOptions gen;
+  gen.seed = 7;
+  gen.num_bases = 300;
+  gen.variants_per_base = 4;
+  const UniText probe = GenerateNames(gen).front().name;
+  const std::set<LangId> langs = {probe.lang()};
+  auto residual = [&] { return LangIn(Col(1, "name"), langs); };
+
+  ExecContext serial_ctx = MakeCtx(1);
+  FilterOp serial(
+      &serial_ctx, std::make_unique<SeqScanOp>(&serial_ctx, table),
+      And(LexEq(Col(1, "name"), Lit(Value::Uni(probe)), 2), residual()));
+  StatusOr<std::vector<Row>> expected = CollectAll(&serial);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_FALSE(expected->empty());
+
+  // Without the residual the leaf returns more: the language filter is
+  // doing work, so the comparison below is not vacuous.
+  ExecContext psi_ctx = MakeCtx(1);
+  LexSelectOp psi_only(&psi_ctx, table, 1, Value::Uni(probe), 2);
+  StatusOr<std::vector<Row>> unfiltered = CollectAll(&psi_only);
+  ASSERT_TRUE(unfiltered.ok());
+  ASSERT_GT(unfiltered->size(), expected->size());
+
+  for (const int dop : kDops) {
+    for (const size_t batch : kBatches) {
+      ExecContext ctx = MakeCtx(dop);
+      ctx.batch_size = batch;
+      LexSelectOp scan(&ctx, table, 1, Value::Uni(probe), 2, residual(), dop,
+                       /*morsel_pages=*/1);
+      StatusOr<std::vector<Row>> actual = CollectAll(&scan);
+      ASSERT_TRUE(actual.ok()) << "dop=" << dop;
+      EXPECT_EQ(RenderAll(*actual), RenderAll(*expected))
+          << "dop=" << dop << " batch=" << batch;
+    }
+  }
+}
+
+TEST_F(OperatorDifferentialTest, LexSelectSkipsNullKeysAtEveryDop) {
+  // NULL keys never match, and a NULL probe matches nothing.
+  auto db_or = Database::Open();
+  ASSERT_TRUE(db_or.ok());
+  std::unique_ptr<Database> db = std::move(*db_or);
+  ASSERT_TRUE(db->CreateTable("t", NamesSchema()).ok());
+  const std::vector<Row> rows = SeededNameRows(42, 200, 3, false);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    Row row = rows[i];
+    if (i % 5 == 0) row[1] = Value::Null();
+    ASSERT_TRUE(db->Insert("t", row).ok());
+  }
+  auto table_or = db->catalog()->GetTable("t");
+  ASSERT_TRUE(table_or.ok());
+  const TableInfo* table = *table_or;
+  ASSERT_GT(table->heap->num_pages(), 1u);
+  const Value probe = rows[1][1];
+
+  ExecContext serial_ctx = MakeCtx(1);
+  FilterOp serial(&serial_ctx,
+                  std::make_unique<SeqScanOp>(&serial_ctx, table),
+                  LexEq(Col(1, "name"), Lit(probe), 2));
+  StatusOr<std::vector<Row>> expected = CollectAll(&serial);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_FALSE(expected->empty());
+
+  for (const int dop : kDops) {
+    ExecContext ctx = MakeCtx(dop);
+    LexSelectOp scan(&ctx, table, 1, probe, 2, nullptr, dop, 1);
+    StatusOr<std::vector<Row>> actual = CollectAll(&scan);
+    ASSERT_TRUE(actual.ok()) << "dop=" << dop;
+    EXPECT_EQ(RenderAll(*actual), RenderAll(*expected)) << "dop=" << dop;
+
+    ExecContext null_ctx = MakeCtx(dop);
+    LexSelectOp null_probe(&null_ctx, table, 1, Value::Null(), 2, nullptr,
+                           dop, 1);
+    StatusOr<std::vector<Row>> none = CollectAll(&null_probe);
+    ASSERT_TRUE(none.ok()) << "dop=" << dop;
+    EXPECT_TRUE(none->empty()) << "dop=" << dop;
   }
 }
 
@@ -216,56 +309,6 @@ TEST_F(OperatorDifferentialTest, ParallelLexJoinMatchesSerial) {
               << " materialize=" << materialize;
         }
       }
-    }
-  }
-}
-
-TEST_F(OperatorDifferentialTest, LexJoinHeapBuildMatchesSerial) {
-  // The table-backed build side: with Options::inner_table set, the
-  // parallel join never opens its inner child — build workers drain the
-  // heap through page-range read guards.  Results (rows AND order) must
-  // be bit-identical to the serial join that scans the same heap.
-  for (const uint64_t seed : kSeeds) {
-    // Sized so the heap reliably spans several pages (240 short rows can
-    // fit in a single 8 KiB page, which would make the page-range build
-    // morsels vacuous).
-    auto db_or = MakeNamesDatabase(/*bases=*/250, /*variants=*/3, seed,
-                                   /*materialize=*/false);
-    ASSERT_TRUE(db_or.ok());
-    std::unique_ptr<Database> db = std::move(*db_or);
-    auto table_or = db->catalog()->GetTable("names");
-    ASSERT_TRUE(table_or.ok());
-    const TableInfo* table = *table_or;
-    ASSERT_GT(table->heap->num_pages(), 1u);
-
-    std::vector<Row> outer =
-        SeededNameRows(seed, /*bases=*/60, /*variants=*/2, true);
-
-    auto run = [&](int dop, bool heap_build) -> std::vector<std::string> {
-      ExecContext ctx = MakeCtx(dop);
-      LexJoinOp::Options options;
-      options.threshold = 2;
-      options.dop = dop;
-      options.morsel_size = 32;
-      if (heap_build) {
-        options.inner_table = table;
-        options.build_morsel_pages = 1;  // many build morsels
-      }
-      LexJoinOp join(&ctx,
-                     std::make_unique<ValuesOp>(&ctx, NamesSchema(), outer),
-                     std::make_unique<SeqScanOp>(&ctx, table),
-                     1, 1, options);
-      StatusOr<std::vector<Row>> rows = CollectAll(&join);
-      EXPECT_TRUE(rows.ok()) << "seed=" << seed << " dop=" << dop;
-      return RenderAll(*rows);
-    };
-
-    const std::vector<std::string> expected = run(1, false);
-    ASSERT_FALSE(expected.empty());
-    for (const int dop : kDops) {
-      if (dop == 1) continue;  // inner_table requires the parallel path
-      EXPECT_EQ(run(dop, true), expected) << "seed=" << seed
-                                          << " dop=" << dop;
     }
   }
 }
@@ -347,10 +390,6 @@ TEST_F(OperatorDifferentialTest, TraceTreeAndMergedMetricsAreDopInvariant) {
   gen.num_bases = 300;
   gen.variants_per_base = 4;
   const UniText probe = GenerateNames(gen).front().name;
-  auto predicate = [&] {
-    return LexEq(Col(1, "name"), Lit(Value::Uni(probe)), 2);
-  };
-
   Counter* hits =
       MetricsRegistry::Global().GetCounter("phonetic.phoneme_cache.hits");
   Counter* misses =
@@ -387,8 +426,9 @@ TEST_F(OperatorDifferentialTest, TraceTreeAndMergedMetricsAreDopInvariant) {
     const uint64_t lookups0 = hits->value() + misses->value();
     const uint64_t morsels0 = morsels->value();
     ExecContext ctx = MakeCtx(dop);
-    ParallelLexScanOp scan(&ctx, table, predicate(), dop,
-                           /*morsel_pages=*/1);
+    LexSelectOp scan(&ctx, table, /*key_col=*/1, Value::Uni(probe),
+                     /*threshold_override=*/2, /*residual=*/nullptr, dop,
+                     /*morsel_pages=*/1);
     StatusOr<std::vector<Row>> rows = CollectAll(&scan);
     ASSERT_TRUE(rows.ok()) << "dop=" << dop;
     TraceOptions opts;
@@ -442,41 +482,49 @@ TEST_F(OperatorDifferentialTest, LexSelectBatchMatchesTuplePathExactly) {
       gen.variants_per_base = 4;
       const UniText probe = GenerateNames(gen).front().name;
 
-      // Fresh phoneme cache per run so the hit/miss split is a function of
-      // the execution path alone, not of what earlier runs warmed.
-      auto run = [&](size_t batch) {
-        PhonemeCache fresh(1 << 14);
-        ExecContext ctx = MakeCtx(1);
-        ctx.phoneme_cache = &fresh;
+      // A disabled phoneme cache (every lookup computes and counts a
+      // miss) makes the hit/miss split a function of the plan alone:
+      // with a shared cache, two workers can both miss on one key.
+      auto run = [&](int dop, size_t batch) {
+        PhonemeCache disabled(0);
+        ExecContext ctx = MakeCtx(dop);
+        ctx.phoneme_cache = &disabled;
         ctx.batch_size = batch;
-        LexSelectOp op(&ctx, table, /*key_col=*/1, Value::Uni(probe));
+        LexSelectOp op(&ctx, table, /*key_col=*/1, Value::Uni(probe),
+                       /*threshold_override=*/-1, /*residual=*/nullptr, dop,
+                       /*morsel_pages=*/1);
         StatusOr<std::vector<Row>> rows = CollectAll(&op);
-        EXPECT_TRUE(rows.ok()) << "seed=" << seed << " batch=" << batch;
+        EXPECT_TRUE(rows.ok()) << "seed=" << seed << " dop=" << dop
+                               << " batch=" << batch;
         const uint64_t batches = op.batches_produced();
         return std::make_tuple(RenderAll(*rows), StatsVector(ctx.stats),
                                batches);
       };
 
-      // batch = 0: tuple-at-a-time reference through NextImpl.
-      const auto [ref_rows, ref_stats, ref_batches] = run(0);
+      // DOP 1, batch = 0: tuple-at-a-time reference through NextImpl.
+      const auto [ref_rows, ref_stats, ref_batches] = run(1, 0);
       ASSERT_FALSE(ref_rows.empty());
       EXPECT_EQ(ref_batches, 0u);  // Next() never emits batches
-      for (const size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
-        const auto [rows, stats, batches] = run(batch);
-        EXPECT_EQ(rows, ref_rows)
-            << "seed=" << seed << " batch=" << batch
-            << " materialize=" << materialize;
-        // FULL counter equality: same operator, same kernel, both paths
-        // route distance through BoundedDistanceCounted.
-        EXPECT_EQ(stats, ref_stats)
-            << "seed=" << seed << " batch=" << batch
-            << " materialize=" << materialize;
-        if (batch == 1) {
-          // One match per batch: the count proves NextBatch actually drove
-          // the execution (and didn't fall back to the tuple loop).
-          EXPECT_EQ(batches, ref_rows.size());
-        } else {
-          EXPECT_GE(batches, 1u);
+      for (const int dop : kDops) {
+        for (const size_t batch : kBatches) {
+          const auto [rows, stats, batches] = run(dop, batch);
+          EXPECT_EQ(rows, ref_rows)
+              << "seed=" << seed << " dop=" << dop << " batch=" << batch
+              << " materialize=" << materialize;
+          // FULL counter equality: per-morsel contexts merge in morsel
+          // order, so no counter depends on DOP or batch size.
+          EXPECT_EQ(stats, ref_stats)
+              << "seed=" << seed << " dop=" << dop << " batch=" << batch
+              << " materialize=" << materialize;
+          if (batch == 0) {
+            EXPECT_EQ(batches, 0u);
+          } else if (batch == 1) {
+            // One match per batch: the count proves NextBatch actually
+            // drove the execution (and didn't fall back to the tuple loop).
+            EXPECT_EQ(batches, ref_rows.size());
+          } else {
+            EXPECT_GE(batches, 1u);
+          }
         }
       }
     }
@@ -557,13 +605,16 @@ TEST(PlannerDifferentialTest, ScanSweepProducesIdenticalResults) {
       hints.degree_of_parallelism = dop;
       auto result = db->Query(plan, hints);
       ASSERT_TRUE(result.ok()) << "seed=" << seed << " dop=" << dop;
+      // One Psi scan leaf at every DOP.
+      EXPECT_NE(result->explain.find("LexSelect("), std::string::npos)
+          << result->explain;
       if (dop == 1) {
-        EXPECT_EQ(result->explain.find("ParallelLexScan"), std::string::npos)
+        EXPECT_EQ(result->explain.find("dop="), std::string::npos)
             << result->explain;
         reference = Sorted(RenderAll(result->rows));
         ASSERT_FALSE(reference.empty());
       } else {
-        // The CPU term dominates at this scale, so the parallel candidate
+        // The CPU term dominates at this scale, so the parallel costing
         // must win for every dop > 1.
         EXPECT_NE(result->explain.find("dop=" + std::to_string(dop)),
                   std::string::npos)
@@ -633,7 +684,8 @@ TEST(PlannerDifferentialTest, JoinSweepProducesIdenticalResults) {
 
 TEST(PlannerDifferentialTest, BatchSweepProducesIdenticalResults) {
   // Full-query differential over SET batch_size x degree_of_parallelism:
-  // every combination must return the same rows, and the distance-kernel
+  // every combination must return the same rows as the outside-the-server
+  // oracle (opaque predicate, Filter over SeqScan), and the distance-kernel
   // call count must be plan-shape-invariant (one bounded call per non-null
   // key on every path).
   for (const uint64_t seed : kSeeds) {
@@ -654,10 +706,16 @@ TEST(PlannerDifferentialTest, BatchSweepProducesIdenticalResults) {
                                 .PsiSelect("name", records[1].name, {}, 3)
                                 .Build();
 
-    std::vector<std::string> reference;
+    PlannerHints opaque;
+    opaque.opaque_multilingual = true;
+    auto oracle = db->Query(plan, opaque);
+    ASSERT_TRUE(oracle.ok());
+    ASSERT_EQ(oracle->explain.find("LexSelect"), std::string::npos)
+        << oracle->explain;
+    std::vector<std::string> reference = Sorted(RenderAll(oracle->rows));
+    ASSERT_FALSE(reference.empty());
     uint64_t reference_calls = 0;
-    for (const size_t batch : {size_t{0}, size_t{1}, size_t{7},
-                               size_t{1024}}) {
+    for (const size_t batch : kBatches) {
       ASSERT_TRUE(
           db->Sql("SET batch_size = " + std::to_string(batch)).ok());
       ASSERT_EQ(db->batch_size(), batch);
@@ -668,33 +726,79 @@ TEST(PlannerDifferentialTest, BatchSweepProducesIdenticalResults) {
         auto result = db->Query(plan, hints);
         ASSERT_TRUE(result.ok())
             << "seed=" << seed << " batch=" << batch << " dop=" << dop;
-        if (dop == 1) {
-          // Serial plans: a real batch size swaps the Filter-over-SeqScan
-          // pair for the fused batch leaf.  batch = 0 must keep the tuple
-          // plan, and at batch = 1 the per-row batch bookkeeping amortizes
-          // nothing, so the cost model correctly keeps the tuple plan too
-          // (the operator-level differential covers batch = 1 execution).
-          if (batch > 1) {
-            EXPECT_NE(result->explain.find("LexSelect"), std::string::npos)
-                << "batch=" << batch << "\n" << result->explain;
-          } else {
-            EXPECT_EQ(result->explain.find("LexSelect"), std::string::npos)
-                << result->explain;
-          }
-        }
-        if (reference.empty()) {
-          reference = Sorted(RenderAll(result->rows));
+        // The same leaf at every batch size and DOP.
+        EXPECT_NE(result->explain.find("LexSelect("), std::string::npos)
+            << "batch=" << batch << " dop=" << dop << "\n"
+            << result->explain;
+        EXPECT_EQ(Sorted(RenderAll(result->rows)), reference)
+            << "seed=" << seed << " batch=" << batch << " dop=" << dop;
+        if (reference_calls == 0) {
           reference_calls = result->exec_stats.distance.calls;
-          ASSERT_FALSE(reference.empty());
           ASSERT_GT(reference_calls, 0u);
         } else {
-          EXPECT_EQ(Sorted(RenderAll(result->rows)), reference)
-              << "seed=" << seed << " batch=" << batch << " dop=" << dop;
           EXPECT_EQ(result->exec_stats.distance.calls, reference_calls)
               << "seed=" << seed << " batch=" << batch << " dop=" << dop;
         }
       }
     }
+  }
+}
+
+TEST(PlannerDifferentialTest, PsiAndOmegaScanStaysSerial) {
+  // Omega in the residual pins the Psi leaf to DOP 1 (the closure cache is
+  // not thread-safe), even where the Psi conjunct alone plans parallel.
+  auto db_or = MakeNamesDatabase(/*bases=*/1600, /*variants=*/3, 42,
+                                 /*materialize=*/true);
+  ASSERT_TRUE(db_or.ok());
+  std::unique_ptr<Database> db = std::move(*db_or);
+  db->SetDegreeOfParallelism(8);
+
+  NameGenOptions gen;
+  gen.seed = 42;
+  gen.num_bases = 1600;
+  gen.variants_per_base = 3;
+  const std::vector<NameRecord> records = GenerateNames(gen);
+  const UniText& probe = records[1].name;
+  // A one-synset taxonomy naming the probe itself: Omega holds exactly for
+  // rows spelled like the probe.
+  auto taxonomy = std::make_unique<Taxonomy>();
+  taxonomy->AddSynset(probe.lang(), probe.text());
+  ASSERT_TRUE(db->LoadTaxonomy(std::move(taxonomy)).ok());
+
+  const Schema schema({{"id", TypeId::kInt32},
+                       {"name", TypeId::kUniText, /*mat=*/true}});
+  const LogicalPtr psi_only = MuralBuilder::Scan("names", schema)
+                                  .PsiSelect("name", probe, {}, 3)
+                                  .Build();
+  const LogicalPtr psi_and_omega =
+      MuralBuilder::Scan("names", schema)
+          .Select(And(LexEq(Col(1, "name"), Lit(Value::Uni(probe)), 3),
+                      SemEq(Col(1, "name"), Lit(Value::Uni(probe)))))
+          .Build();
+
+  PlannerHints hints;
+  hints.enable_mtree = false;
+  hints.degree_of_parallelism = 4;
+  auto par = db->Query(psi_only, hints);
+  ASSERT_TRUE(par.ok());
+  ASSERT_NE(par->explain.find("dop=4"), std::string::npos) << par->explain;
+
+  PlannerHints opaque;
+  opaque.opaque_multilingual = true;
+  auto oracle = db->Query(psi_and_omega, opaque);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ASSERT_FALSE(oracle->rows.empty());
+
+  for (const int dop : kDops) {
+    hints.degree_of_parallelism = dop;
+    auto result = db->Query(psi_and_omega, hints);
+    ASSERT_TRUE(result.ok()) << "dop=" << dop;
+    EXPECT_NE(result->explain.find("LexSelect("), std::string::npos)
+        << result->explain;
+    EXPECT_EQ(result->explain.find("dop="), std::string::npos)
+        << "dop=" << dop << "\n" << result->explain;
+    EXPECT_EQ(RenderAll(result->rows), RenderAll(oracle->rows))
+        << "dop=" << dop;
   }
 }
 

@@ -1,6 +1,6 @@
-// Concurrency stress: many LexJoin queries running at once on a worker
-// pool, all sharing one session PhonemeCache, with their storage behind a
-// fault-injected BufferPool.  Exercised under the tsan preset in CI
+// Concurrency stress: many LexJoin + LexSelect queries running at once on
+// a worker pool, all sharing one session PhonemeCache, with their storage
+// behind a fault-injected BufferPool.  Exercised under the tsan preset in CI
 // (MURAL_SANITIZE=thread); asserts here are about Status propagation and
 // result stability, the data-race checking is the sanitizer's job.
 //
@@ -8,8 +8,8 @@
 // across ALL tasks, and each task's engine stack (disk -> fault-injection
 // wrapper -> buffer pool -> catalog) is itself shared between that task's
 // nested morsel workers — BufferPool and Catalog are thread-safe since
-// the latched page-guard redesign, and the nested-parallel joins drain
-// their build side's heap through concurrent read guards.
+// the latched page-guard redesign, and the nested-parallel LexSelect scans
+// its heap through concurrent read guards.
 
 #include <gtest/gtest.h>
 
@@ -62,6 +62,7 @@ struct PrivateEngine {
   Catalog catalog{&pool};
   TableInfo* left = nullptr;
   TableInfo* right = nullptr;
+  Value probe;  // a name stored in `right`, for the Psi scan
 
   [[nodiscard]] Status Populate(uint64_t seed) {
     const Schema schema({{"id", TypeId::kInt32},
@@ -83,7 +84,9 @@ struct PrivateEngine {
     }
     options.num_bases = 30;
     TableWriter rw(right);
-    for (const NameRecord& rec : GenerateNames(options)) {
+    const std::vector<NameRecord> right_names = GenerateNames(options);
+    probe = Value::Uni(right_names.front().name);
+    for (const NameRecord& rec : right_names) {
       MURAL_RETURN_IF_ERROR(
           rw.Insert({Value::Int32(static_cast<int32_t>(rec.id)),
                      Value::Uni(rec.name), pad})
@@ -93,9 +96,10 @@ struct PrivateEngine {
   }
 };
 
-// Runs one Psi join over the engine's tables.  `cache` is the shared
-// session cache; `nested_pool` (may be null) parallelizes the join itself,
-// nesting morsel workers inside the stress task.
+// Runs one Psi join over the engine's tables, then one Psi scan of the
+// right table, and returns both results concatenated.  `cache` is the
+// shared session cache; `nested_pool` (may be null) parallelizes both
+// operators, nesting morsel workers inside the stress task.
 StatusOr<std::vector<Row>> RunJoin(PrivateEngine* engine, PhonemeCache* cache,
                                    ThreadPool* nested_pool) {
   ExecContext ctx;
@@ -103,21 +107,28 @@ StatusOr<std::vector<Row>> RunJoin(PrivateEngine* engine, PhonemeCache* cache,
   ctx.phoneme_cache = cache;
   LexJoinOp::Options options;
   options.threshold = 2;
+  int scan_dop = 1;
   if (nested_pool != nullptr) {
     ctx.thread_pool = nested_pool;
     ctx.degree_of_parallelism = 2;
     options.dop = 2;
     options.morsel_size = 16;
-    // Build workers drain the inner heap concurrently through read
-    // guards — with 4 frames against ~16 heap pages, that contends on
-    // the pool's table lock and eviction path too.
-    options.inner_table = engine->right;
-    options.build_morsel_pages = 2;
+    scan_dop = 2;
   }
   LexJoinOp join(&ctx, std::make_unique<SeqScanOp>(&ctx, engine->left),
                  std::make_unique<SeqScanOp>(&ctx, engine->right), 1, 1,
                  options);
-  return CollectAll(&join);
+  MURAL_ASSIGN_OR_RETURN(std::vector<Row> rows, CollectAll(&join));
+  // Scan workers fetch the right heap's pages concurrently through read
+  // guards — with 4 frames against ~16 heap pages, that contends on the
+  // pool's table lock and eviction path too.
+  LexSelectOp scan(&ctx, engine->right, 1, engine->probe,
+                   /*threshold_override=*/2, /*residual=*/nullptr, scan_dop,
+                   /*morsel_pages=*/2);
+  MURAL_ASSIGN_OR_RETURN(std::vector<Row> matches, CollectAll(&scan));
+  if (matches.empty()) return Status::Internal("Psi scan found no match");
+  rows.insert(rows.end(), matches.begin(), matches.end());
+  return rows;
 }
 
 TEST(ParallelStressTest, ConcurrentJoinsShareOnePhonemeCache) {

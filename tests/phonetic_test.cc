@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "distance/edit_distance.h"
 #include "phonetic/g2p_engine.h"
 #include "phonetic/phoneme.h"
@@ -129,6 +131,13 @@ struct ConvergenceCase {
   LangId lang_b;
   int max_distance;  // phonemic distance budget (paper threshold ~2-3)
 };
+
+// Print a case by its spellings. The default printer dumps the raw struct
+// bytes, pointers included, so the listed test names would change from run
+// to run.
+void PrintTo(const ConvergenceCase& c, std::ostream* os) {
+  *os << c.a << "_" << c.b;
+}
 
 class ConvergenceTest : public ::testing::TestWithParam<ConvergenceCase> {};
 

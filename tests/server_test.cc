@@ -12,11 +12,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "engine/database.h"
 #include "server/server.h"
 
@@ -261,16 +264,23 @@ TEST_F(ServerTest, RefusesConnectionsBeyondCapacity) {
   ASSERT_EQ(refusal.size(), 1u);
   EXPECT_EQ(refusal[0].rfind("-- error Overloaded:", 0), 0u) << refusal[0];
 
-  // Once the first client leaves, the slot frees up for a newcomer.
+  // Once the first client leaves, the slot frees up for a newcomer.  The
+  // server releases it asynchronously; the active-connections gauge is
+  // decremented last, so 0 means the slot is free.
   EXPECT_TRUE(IsOk(first->Roundtrip("SELECT X FROM T")));
   first.reset();
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    auto retry = TestClient::Connect(server_->endpoint());
-    ASSERT_NE(retry, nullptr);
-    auto response = retry->Roundtrip("SELECT X FROM T");
-    if (IsOk(response)) return;  // got the freed slot
+  const Gauge* active =
+      MetricsRegistry::Global().GetGauge("server.connections.active");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (active->value() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  FAIL() << "slot never freed after client disconnect";
+  ASSERT_EQ(active->value(), 0) << "slot never freed after client disconnect";
+  auto retry = TestClient::Connect(server_->endpoint());
+  ASSERT_NE(retry, nullptr);
+  EXPECT_TRUE(IsOk(retry->Roundtrip("SELECT X FROM T")));
 }
 
 TEST_F(ServerTest, StopDisconnectsClientsAndIsIdempotent) {

@@ -189,7 +189,9 @@ TEST(SessionTest, PlannerHintsThreadThroughSql) {
   auto result = (*session)->Sql(
       "SELECT Author FROM Book WHERE Author LexEQUAL 'Nehru'", serial);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->explain.find("ParallelLexScan"), std::string::npos)
+  EXPECT_NE(result->explain.find("LexSelect("), std::string::npos)
+      << result->explain;
+  EXPECT_EQ(result->explain.find("dop="), std::string::npos)
       << result->explain;
 }
 
