@@ -50,6 +50,7 @@ int main() {
       std::vector<SynsetId>(bases.begin(), bases.begin() + 600), 400, 12);
   BENCH_CHECK_OK(db->LoadTaxonomy(std::move(generated.taxonomy)));
   const Taxonomy& tax = *db->taxonomy();
+  std::unique_ptr<Session> session = MustConnect(db.get());
 
   Schema schema({{"cat", TypeId::kUniText}});
   std::vector<Row> lhs_rows, rhs_rows;
@@ -80,7 +81,7 @@ int main() {
               "closures built", "reuses");
   size_t expect_rows = 0;
   for (const Config& config : configs) {
-    ExecContext* ctx = db->exec_context();
+    ExecContext* ctx = session->exec_context();
     if (ctx->closure_cache != nullptr) ctx->closure_cache->Clear();
     SemJoinOp::Options op_options;
     op_options.use_closure_cache = config.cache;

@@ -27,7 +27,8 @@ int main() {
     auto db_or = MakeNamesDb(bases, 3, 42, &records);
     BENCH_CHECK_OK(db_or.status());
     std::unique_ptr<Database> db = std::move(*db_or);
-    db->SetLexequalThreshold(2);
+    std::unique_ptr<Session> session = MustConnect(db.get());
+    BENCH_CHECK_OK(session->Set("lexequal_threshold", 2));
     auto plan =
         MuralBuilder::Scan("names",
                            (*db->catalog()->GetTable("names"))->schema)
@@ -35,7 +36,7 @@ int main() {
             .Aggregate({}, {{AggKind::kCountStar, 0, "n"}})
             .Build();
     const double ms = TimeMedianMs(5, [&] {
-      BENCH_CHECK_OK(db->Query(plan).status());
+      BENCH_CHECK_OK(session->Query(plan).status());
     });
     std::printf("%10zu %14.2f %16.3f\n", bases * 3, ms,
                 ms / (bases * 3 / 1000.0));
@@ -52,8 +53,9 @@ int main() {
     auto db_or = MakeNamesDb(4000, 3, 42, &records);
     BENCH_CHECK_OK(db_or.status());
     std::unique_ptr<Database> db = std::move(*db_or);
+    std::unique_ptr<Session> session = MustConnect(db.get());
     for (int k : {0, 1, 2, 4, 8}) {
-      db->SetLexequalThreshold(k);
+      BENCH_CHECK_OK(session->Set("lexequal_threshold", k));
       auto plan =
           MuralBuilder::Scan("names",
                              (*db->catalog()->GetTable("names"))->schema)
@@ -61,7 +63,7 @@ int main() {
               .Aggregate({}, {{AggKind::kCountStar, 0, "n"}})
               .Build();
       const double ms = TimeMedianMs(5, [&] {
-        BENCH_CHECK_OK(db->Query(plan).status());
+        BENCH_CHECK_OK(session->Query(plan).status());
       });
       std::printf("%6d %14.2f\n", k, ms);
       json.Record("scan_k_" + std::to_string(k), "runtime_ms", ms);
@@ -82,7 +84,8 @@ int main() {
     std::unique_ptr<Database> db = std::move(*db_or);
     BENCH_CHECK_OK(AddSecondNamesTable(db.get(), "others",
                                        static_cast<size_t>(rb), 2, 7));
-    db->SetLexequalThreshold(2);
+    std::unique_ptr<Session> session = MustConnect(db.get());
+    BENCH_CHECK_OK(session->Set("lexequal_threshold", 2));
     auto plan =
         MuralBuilder::Scan("names",
                            (*db->catalog()->GetTable("names"))->schema)
@@ -95,7 +98,7 @@ int main() {
     PlannerHints hints;
     hints.enable_mtree = false;
     const double ms = TimeMedianMs(3, [&] {
-      BENCH_CHECK_OK(db->Query(plan, hints).status());
+      BENCH_CHECK_OK(session->Query(plan, hints).status());
     });
     const double pairs = static_cast<double>(lb) * 2 * rb * 2;
     std::printf("%10d %10d %14.2f %18.3f\n", lb * 2, rb * 2, ms,
@@ -120,8 +123,9 @@ int main() {
     auto db_or = MakeNamesDb(8000, 3, 42, &records);
     BENCH_CHECK_OK(db_or.status());
     std::unique_ptr<Database> db = std::move(*db_or);
-    db->SetLexequalThreshold(2);
-    db->SetDegreeOfParallelism(8);
+    std::unique_ptr<Session> session = MustConnect(db.get());
+    BENCH_CHECK_OK(session->Set("lexequal_threshold", 2));
+    BENCH_CHECK_OK(session->Set("degree_of_parallelism", 8));
     BENCH_CHECK_OK(AddSecondNamesTable(db.get(), "others", 400, 2, 7));
     auto scan_plan =
         MuralBuilder::Scan("names",
@@ -144,10 +148,10 @@ int main() {
       hints.enable_mtree = false;
       hints.degree_of_parallelism = dop;
       const double scan_ms = TimeMedianMs(3, [&] {
-        BENCH_CHECK_OK(db->Query(scan_plan, hints).status());
+        BENCH_CHECK_OK(session->Query(scan_plan, hints).status());
       });
       const double join_ms = TimeMedianMs(3, [&] {
-        BENCH_CHECK_OK(db->Query(join_plan, hints).status());
+        BENCH_CHECK_OK(session->Query(join_plan, hints).status());
       });
       std::printf("%6d %16.2f %16.2f\n", dop, scan_ms, join_ms);
       json.Record("dop_" + std::to_string(dop), "scan_ms", scan_ms);

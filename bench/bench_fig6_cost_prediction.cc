@@ -71,6 +71,7 @@ int main() {
                              seed++);
     BENCH_CHECK_OK(db_or.status());
     std::unique_ptr<Database> db = std::move(*db_or);
+    std::unique_ptr<Session> session = MustConnect(db.get());
     BENCH_CHECK_OK(AddSecondNamesTable(db.get(), "others",
                                        config.right_bases,
                                        config.right_variants, seed++));
@@ -79,7 +80,7 @@ int main() {
     if (config.duplicate_factor > 1) {
       auto table = db->catalog()->GetTable("others");
       BENCH_CHECK_OK(table.status());
-      auto rows_or = db->Sql("SELECT * FROM others");
+      auto rows_or = session->Sql("SELECT * FROM others");
       BENCH_CHECK_OK(rows_or.status());
       for (int dup = 1; dup < config.duplicate_factor; ++dup) {
         for (const Row& row : rows_or->rows) {
@@ -88,7 +89,7 @@ int main() {
       }
       BENCH_CHECK_OK(db->Analyze("others"));
     }
-    db->SetLexequalThreshold(config.threshold);
+    BENCH_CHECK_OK(session->Set("lexequal_threshold", config.threshold));
 
     const Schema& left_schema = (*db->catalog()->GetTable("names"))->schema;
     const Schema& right_schema =
@@ -98,10 +99,10 @@ int main() {
                              "name", "name")
                     .Aggregate({}, {{AggKind::kCountStar, 0, "n"}})
                     .Build();
-    auto result = db->Query(plan);
+    auto result = session->Query(plan);
     BENCH_CHECK_OK(result.status());
     // One warmed re-run for a stable runtime.
-    auto timed = db->Query(plan);
+    auto timed = session->Query(plan);
     BENCH_CHECK_OK(timed.status());
     const double predicted = timed->predicted_cost.total();
     const double runtime = timed->runtime_ms;

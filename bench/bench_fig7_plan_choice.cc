@@ -68,7 +68,8 @@ int main() {
   for (const char* t : {"Author", "Publisher", "Book"}) {
     BENCH_CHECK_OK(db->Analyze(t));
   }
-  db->SetLexequalThreshold(3);
+  std::unique_ptr<Session> session = MustConnect(db.get());
+  BENCH_CHECK_OK(session->Set("lexequal_threshold", 3));
 
   auto plan1 =
       MuralBuilder::Scan("Author", author_schema)
@@ -93,12 +94,12 @@ int main() {
   int i = 0;
   for (const auto& [name, plan] : {std::make_pair("Plan 1", plan1),
                                    std::make_pair("Plan 2", plan2)}) {
-    auto result = db->Query(plan);
+    auto result = session->Query(plan);
     BENCH_CHECK_OK(result.status());
     predicted[i] = result->predicted_cost.total();
     answers[i] = result->rows[0][0].int64();
     runtime[i] = TimeMedianMs(3, [&] {
-      auto rerun = db->Query(plan);
+      auto rerun = session->Query(plan);
       BENCH_CHECK_OK(rerun.status());
     });
     std::printf("---- %s ----\n%s", name, result->explain.c_str());

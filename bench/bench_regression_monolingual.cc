@@ -19,13 +19,13 @@ using namespace mural::bench;
 
 namespace {
 
-Status LoadCommon(Database* db, bool with_multilingual) {
+Status LoadCommon(Database* db, Session* session, bool with_multilingual) {
   // The monolingual core: items(id, grp, price, label).
-  MURAL_RETURN_IF_ERROR(db->Sql("CREATE TABLE items (id INT, grp INT, "
-                                "price DOUBLE, label TEXT)")
+  MURAL_RETURN_IF_ERROR(session->Sql("CREATE TABLE items (id INT, grp INT, "
+                                     "price DOUBLE, label TEXT)")
                             .status());
   MURAL_RETURN_IF_ERROR(
-      db->Sql("CREATE TABLE groups (grp INT, gname TEXT)").status());
+      session->Sql("CREATE TABLE groups (grp INT, gname TEXT)").status());
   Rng rng(42);
   for (int g = 0; g < 50; ++g) {
     MURAL_RETURN_IF_ERROR(
@@ -70,7 +70,7 @@ Status LoadCommon(Database* db, bool with_multilingual) {
   return Status::OK();
 }
 
-double RunSuite(Database* db) {
+double RunSuite(Session* session) {
   const char* suite[] = {
       "SELECT count(*) FROM items WHERE id = 777",
       "SELECT count(*) FROM items WHERE price >= 25.0 AND price <= 75.0",
@@ -81,7 +81,7 @@ double RunSuite(Database* db) {
   };
   return TimeMedianMs(5, [&] {
     for (const char* q : suite) {
-      auto result = db->Sql(q);
+      auto result = session->Sql(q);
       BENCH_CHECK_OK(result.status());
     }
   });
@@ -97,19 +97,23 @@ int main() {
   auto plain_or = Database::Open();
   BENCH_CHECK_OK(plain_or.status());
   std::unique_ptr<Database> plain = std::move(*plain_or);
-  BENCH_CHECK_OK(LoadCommon(plain.get(), /*with_multilingual=*/false));
+  std::unique_ptr<Session> plain_session = MustConnect(plain.get());
+  BENCH_CHECK_OK(LoadCommon(plain.get(), plain_session.get(),
+                            /*with_multilingual=*/false));
 
   auto loaded_or = Database::Open();
   BENCH_CHECK_OK(loaded_or.status());
   std::unique_ptr<Database> loaded = std::move(*loaded_or);
-  BENCH_CHECK_OK(LoadCommon(loaded.get(), /*with_multilingual=*/true));
+  std::unique_ptr<Session> loaded_session = MustConnect(loaded.get());
+  BENCH_CHECK_OK(LoadCommon(loaded.get(), loaded_session.get(),
+                            /*with_multilingual=*/true));
 
   // Interleave A/B runs to cancel drift.
   double plain_total = 0, loaded_total = 0;
   const int kRounds = 5;
   for (int round = 0; round < kRounds; ++round) {
-    plain_total += RunSuite(plain.get());
-    loaded_total += RunSuite(loaded.get());
+    plain_total += RunSuite(plain_session.get());
+    loaded_total += RunSuite(loaded_session.get());
   }
   const double plain_ms = plain_total / kRounds;
   const double loaded_ms = loaded_total / kRounds;

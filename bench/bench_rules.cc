@@ -39,7 +39,8 @@ int main() {
   BENCH_CHECK_OK(db_or.status());
   std::unique_ptr<Database> db = std::move(*db_or);
   BENCH_CHECK_OK(AddSecondNamesTable(db.get(), "others", 150, 3, 7));
-  db->SetLexequalThreshold(2);
+  std::unique_ptr<Session> session = MustConnect(db.get());
+  BENCH_CHECK_OK(session->Set("lexequal_threshold", 2));
   const Schema names_schema = (*db->catalog()->GetTable("names"))->schema;
   const Schema others_schema = (*db->catalog()->GetTable("others"))->schema;
 
@@ -50,8 +51,8 @@ int main() {
                  .Build();
   auto psi_commuted = algebra::Commute(psi, names_schema, others_schema);
   BENCH_CHECK_OK(psi_commuted.status());
-  auto original = db->Query(psi);
-  auto commuted = db->Query(*psi_commuted);
+  auto original = session->Query(psi);
+  auto commuted = session->Query(*psi_commuted);
   BENCH_CHECK_OK(original.status());
   BENCH_CHECK_OK(commuted.status());
   std::printf("Psi commute:   results %s  | cost %0.f vs %0.f\n",
@@ -95,8 +96,8 @@ int main() {
                      .Build();
   auto distributed = algebra::DistributeOverUnion(unioned);
   BENCH_CHECK_OK(distributed.status());
-  auto u1 = db->Query(unioned);
-  auto u2 = db->Query(*distributed);
+  auto u1 = session->Query(unioned);
+  auto u2 = session->Query(*distributed);
   BENCH_CHECK_OK(u1.status());
   BENCH_CHECK_OK(u2.status());
   std::printf("Psi over U:    results %s  | cost %0.f vs %0.f\n",
@@ -112,8 +113,8 @@ int main() {
   auto pushed =
       algebra::PushFilterIntoJoin(filtered, names_schema.NumColumns());
   BENCH_CHECK_OK(pushed.status());
-  auto f1 = db->Query(filtered);
-  auto f2 = db->Query(*pushed);
+  auto f1 = session->Query(filtered);
+  auto f2 = session->Query(*pushed);
   BENCH_CHECK_OK(f1.status());
   BENCH_CHECK_OK(f2.status());
   std::printf("sigma pushdown: results %s | cost %0.f vs %0.f "

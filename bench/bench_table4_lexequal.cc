@@ -78,7 +78,8 @@ int main() {
                            &records);
   BENCH_CHECK_OK(db_or.status());
   std::unique_ptr<Database> db = std::move(*db_or);
-  db->SetLexequalThreshold(kThreshold);
+  std::unique_ptr<Session> session = MustConnect(db.get());
+  BENCH_CHECK_OK(session->Set("lexequal_threshold", kThreshold));
   BENCH_CHECK_OK(db->CreateIndex("names_mtree", "names", "name",
                                  IndexKind::kMTree, true));
   BENCH_CHECK_OK(db->CreateIndex("names_mdi", "names", "name",
@@ -89,7 +90,8 @@ int main() {
   auto join_db_or = MakeNamesDb(/*bases=*/300, /*variants=*/4, /*seed=*/7);
   BENCH_CHECK_OK(join_db_or.status());
   std::unique_ptr<Database> join_db = std::move(*join_db_or);
-  join_db->SetLexequalThreshold(kThreshold);
+  std::unique_ptr<Session> join_session = MustConnect(join_db.get());
+  BENCH_CHECK_OK(join_session->Set("lexequal_threshold", kThreshold));
   BENCH_CHECK_OK(AddSecondNamesTable(join_db.get(), "others",
                                      /*bases=*/100, /*variants=*/4,
                                      /*seed=*/11));
@@ -122,7 +124,7 @@ int main() {
         auto plan = MuralBuilder::Scan("names", names_schema)
                         .PsiSelect("name", probe)
                         .Build();
-        auto result = db->Query(plan, hints);
+        auto result = session->Query(plan, hints);
         BENCH_CHECK_OK(result.status());
         scan_rows += result->rows.size();
       }
@@ -134,7 +136,7 @@ int main() {
             .Aggregate({}, {{AggKind::kCountStar, 0, "n"}})
             .Build();
     core_noidx.join_ms = TimeMedianMs(3, [&] {
-      auto result = join_db->Query(join_plan, hints);
+      auto result = join_session->Query(join_plan, hints);
       BENCH_CHECK_OK(result.status());
       join_rows = static_cast<size_t>(result->rows[0][0].int64());
     });
@@ -149,7 +151,7 @@ int main() {
         auto plan = MuralBuilder::Scan("names", names_schema)
                         .PsiSelect("name", probe)
                         .Build();
-        auto result = db->Query(plan);
+        auto result = session->Query(plan);
         BENCH_CHECK_OK(result.status());
         rows += result->rows.size();
       }
@@ -166,7 +168,7 @@ int main() {
             .Aggregate({}, {{AggKind::kCountStar, 0, "n"}})
             .Build();
     core_mtree.join_ms = TimeMedianMs(3, [&] {
-      auto result = join_db->Query(join_plan);
+      auto result = join_session->Query(join_plan);
       BENCH_CHECK_OK(result.status());
     });
   }
@@ -276,7 +278,8 @@ int main() {
     size_t batch1_rows = 0, batch1024_rows = 0;
     std::vector<std::string> batch1_set, batch1024_set;
     for (const size_t batch : {size_t{1}, size_t{1024}}) {
-      db->SetBatchSize(batch);
+      BENCH_CHECK_OK(
+          session->Set("batch_size", static_cast<int64_t>(batch)));
       size_t rows = 0;
       std::vector<std::string> rendered;
       const double ms = TimeMedianMs(3, [&] {
@@ -286,7 +289,7 @@ int main() {
           auto plan = MuralBuilder::Scan("names", names_schema)
                           .PsiSelect("name", probe)
                           .Build();
-          auto result = db->Query(plan, hints);
+          auto result = session->Query(plan, hints);
           BENCH_CHECK_OK(result.status());
           rows += result->rows.size();
           for (const Row& r : result->rows) {
@@ -304,7 +307,7 @@ int main() {
         batch1024_set = std::move(rendered);
       }
     }
-    db->SetBatchSize(1024);  // restore the session default
+    BENCH_CHECK_OK(session->Set("batch_size", 1024));  // restore default
     if (batch1_rows != scan_rows || batch1024_rows != scan_rows ||
         batch1_set != batch1024_set) {
       std::fprintf(stderr,
@@ -337,8 +340,10 @@ int main() {
                               &big_records);
     BENCH_CHECK_OK(big_or.status());
     std::unique_ptr<Database> big = std::move(*big_or);
-    big->SetLexequalThreshold(kThreshold);
-    big->SetDegreeOfParallelism(8);  // provision the pool once
+    std::unique_ptr<Session> big_session = MustConnect(big.get());
+    BENCH_CHECK_OK(big_session->Set("lexequal_threshold", kThreshold));
+    // Provision the pool once.
+    BENCH_CHECK_OK(big_session->Set("degree_of_parallelism", 8));
     const Schema& big_schema = (*big->catalog()->GetTable("names"))->schema;
     auto plan = MuralBuilder::Scan("names", big_schema)
                     .PsiSelect("name", big_records[17].name)
@@ -361,7 +366,7 @@ int main() {
       size_t rows = 0;
       const uint64_t fetch_before = fetch_nanos->value();
       const double ms = TimeMedianMs(3, [&] {
-        auto result = big->Query(plan, hints);
+        auto result = big_session->Query(plan, hints);
         BENCH_CHECK_OK(result.status());
         rows = result->rows.size();
       });
@@ -375,7 +380,7 @@ int main() {
                      rows, serial_rows);
         return 1;
       }
-      auto physical = big->PlanQuery(plan, hints);
+      auto physical = big_session->PlanQuery(plan, hints);
       BENCH_CHECK_OK(physical.status());
       std::printf("%6d %14.2f %14.2f %10zu %12.2fx  %s\n", dop, ms,
                   storage_ms, rows, serial_ms / ms,
@@ -388,7 +393,7 @@ int main() {
 
     // Same sweep for the core join workload.
     std::printf("\n-- DOP sweep: core no-index join (1.2k x 400) --\n");
-    join_db->SetDegreeOfParallelism(8);
+    BENCH_CHECK_OK(join_session->Set("degree_of_parallelism", 8));
     auto join_plan =
         MuralBuilder::Scan("names", jnames_schema)
             .PsiJoin(MuralBuilder::Scan("others", others_schema), "name",
@@ -405,7 +410,7 @@ int main() {
       size_t pairs = 0;
       const uint64_t fetch_before = fetch_nanos->value();
       const double ms = TimeMedianMs(3, [&] {
-        auto result = join_db->Query(join_plan, hints);
+        auto result = join_session->Query(join_plan, hints);
         BENCH_CHECK_OK(result.status());
         pairs = static_cast<size_t>(result->rows[0][0].int64());
       });
@@ -419,7 +424,7 @@ int main() {
         return 1;
       }
       // The plan root is the COUNT(*) aggregate; the join is its input.
-      auto physical = join_db->PlanQuery(join_plan, hints);
+      auto physical = join_session->PlanQuery(join_plan, hints);
       BENCH_CHECK_OK(physical.status());
       const PhysicalOp& join_op = *physical->root->Children().front();
       std::printf("%6d %14.2f %14.2f %10zu %12.2fx  %s\n", dop, ms,

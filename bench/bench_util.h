@@ -14,6 +14,7 @@
 #include "datagen/name_generator.h"
 #include "datagen/taxonomy_generator.h"
 #include "engine/database.h"
+#include "session/session.h"
 
 namespace mural {
 namespace bench {
@@ -155,6 +156,14 @@ double TimeMedianMs(int runs, Fn&& fn) {
       std::exit(1);                                                \
     }                                                              \
   } while (0)
+
+/// Mints a session on `db` with the Database-default options; a failed
+/// Connect ends the bench like BENCH_CHECK_OK.
+inline std::unique_ptr<Session> MustConnect(Database* db) {
+  StatusOr<std::unique_ptr<Session>> session = db->Connect();
+  BENCH_CHECK_OK(session.status());
+  return std::move(*session);
+}
 
 }  // namespace bench
 }  // namespace mural

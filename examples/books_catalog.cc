@@ -9,23 +9,25 @@
 
 #include "datagen/catalog_generator.h"
 #include "engine/database.h"
+#include "session/session.h"
 
 using namespace mural;
 
 namespace {
 
-Status LoadCatalog(Database* db, const BooksDataset& data) {
+Status LoadCatalog(Database* db, Session* session,
+                   const BooksDataset& data) {
   MURAL_RETURN_IF_ERROR(
-      db->Sql("CREATE TABLE Author (AuthorID INT,"
-              " AName UNITEXT MATERIALIZE PHONEMES)")
+      session->Sql("CREATE TABLE Author (AuthorID INT,"
+                   " AName UNITEXT MATERIALIZE PHONEMES)")
           .status());
   MURAL_RETURN_IF_ERROR(
-      db->Sql("CREATE TABLE Publisher (PublisherID INT,"
-              " PName UNITEXT MATERIALIZE PHONEMES)")
+      session->Sql("CREATE TABLE Publisher (PublisherID INT,"
+                   " PName UNITEXT MATERIALIZE PHONEMES)")
           .status());
   MURAL_RETURN_IF_ERROR(
-      db->Sql("CREATE TABLE Book (BookID INT, AuthorID INT,"
-              " PublisherID INT, Title UNITEXT, Category UNITEXT)")
+      session->Sql("CREATE TABLE Book (BookID INT, AuthorID INT,"
+                   " PublisherID INT, Title UNITEXT, Category UNITEXT)")
           .status());
   for (const AuthorRow& a : data.authors) {
     MURAL_RETURN_IF_ERROR(db->Insert(
@@ -62,6 +64,7 @@ void Report(const char* title, const QueryResult& result) {
 
 Status RunCatalog() {
   MURAL_ASSIGN_OR_RETURN(std::unique_ptr<Database> db, Database::Open());
+  MURAL_ASSIGN_OR_RETURN(std::unique_ptr<Session> session, db->Connect());
 
   // Generate the world: taxonomy first (categories come from it).
   TaxonomyGenOptions tax_options;
@@ -81,7 +84,7 @@ Status RunCatalog() {
   std::printf("Loading %zu authors, %zu publishers, %zu books...\n\n",
               data.authors.size(), data.publishers.size(),
               data.books.size());
-  MURAL_RETURN_IF_ERROR(LoadCatalog(db.get(), data));
+  MURAL_RETURN_IF_ERROR(LoadCatalog(db.get(), session.get(), data));
 
   // Pick a real author to search for before the taxonomy moves.
   const UniText probe_author = data.authors[42].name;
@@ -92,41 +95,41 @@ Status RunCatalog() {
 
   // Indexes: metric index on author phonemes, B+Tree on Book.AuthorID.
   MURAL_RETURN_IF_ERROR(
-      db->Sql("CREATE INDEX author_mtree ON Author(AName) USING MTREE")
+      session->Sql("CREATE INDEX author_mtree ON Author(AName) USING MTREE")
           .status());
   MURAL_RETURN_IF_ERROR(
-      db->Sql("CREATE INDEX book_author ON Book(AuthorID) USING BTREE")
+      session->Sql("CREATE INDEX book_author ON Book(AuthorID) USING BTREE")
           .status());
-  MURAL_RETURN_IF_ERROR(db->Sql("SET LEXEQUAL_THRESHOLD = 2").status());
+  MURAL_RETURN_IF_ERROR(session->Sql("SET LEXEQUAL_THRESHOLD = 2").status());
 
   // 1. Monolingual warm-up: exact lookup through the B+Tree.
   MURAL_ASSIGN_OR_RETURN(
       QueryResult by_author,
-      db->Sql("SELECT BookID, Title FROM Book WHERE AuthorID = 42"));
+      session->Sql("SELECT BookID, Title FROM Book WHERE AuthorID = 42"));
   Report("Books by author #42 (B+Tree lookup)", by_author);
 
   // 2. LexEQUAL scan: all spellings of one author across languages.
   MURAL_ASSIGN_OR_RETURN(
       QueryResult psi_scan,
-      db->Sql("SELECT AuthorID, AName FROM Author WHERE AName LexEQUAL '" +
-              probe_author.text() + "'@" +
-              LanguageRegistry::Default().NameOf(probe_author.lang())));
+      session->Sql("SELECT AuthorID, AName FROM Author WHERE AName LexEQUAL '" +
+                   probe_author.text() + "'@" +
+                   LanguageRegistry::Default().NameOf(probe_author.lang())));
   Report(("LexEQUAL scan for '" + probe_author.text() + "'").c_str(),
          psi_scan);
 
   // 3. LexEQUAL join: authors who sound like publishers (§5.2.1's query).
   MURAL_ASSIGN_OR_RETURN(
       QueryResult psi_join,
-      db->Sql("SELECT count(*) FROM Author A, Publisher P "
-              "WHERE A.AName LexEQUAL P.PName"));
+      session->Sql("SELECT count(*) FROM Author A, Publisher P "
+                   "WHERE A.AName LexEQUAL P.PName"));
   Report("Authors homophonic with a publisher (count)", psi_join);
 
   // 4. SemEQUAL: books in a concept subtree, any language.
   MURAL_ASSIGN_OR_RETURN(
       QueryResult omega,
-      db->Sql("SELECT count(*) FROM Book WHERE Category SemEQUAL '" +
-              probe_category.text() + "'@" +
-              LanguageRegistry::Default().NameOf(probe_category.lang())));
+      session->Sql("SELECT count(*) FROM Book WHERE Category SemEQUAL '" +
+                   probe_category.text() + "'@" +
+                   LanguageRegistry::Default().NameOf(probe_category.lang())));
   Report(("SemEQUAL count under concept '" + probe_category.text() + "'")
              .c_str(),
          omega);
@@ -134,8 +137,8 @@ Status RunCatalog() {
   // 5. Aggregation over the multilingual catalog.
   MURAL_ASSIGN_OR_RETURN(
       QueryResult top,
-      db->Sql("SELECT AuthorID, count(*) AS books FROM Book "
-              "GROUP BY AuthorID ORDER BY books DESC LIMIT 5"));
+      session->Sql("SELECT AuthorID, count(*) AS books FROM Book "
+                   "GROUP BY AuthorID ORDER BY books DESC LIMIT 5"));
   Report("Most prolific authors", top);
   return Status::OK();
 }

@@ -10,6 +10,7 @@
 #include "datagen/catalog_generator.h"
 #include "engine/database.h"
 #include "mural/algebra.h"
+#include "session/session.h"
 
 using namespace mural;
 
@@ -55,7 +56,8 @@ Status Run() {
   for (const char* t : {"Author", "Publisher", "Book"}) {
     MURAL_RETURN_IF_ERROR(db->Analyze(t));
   }
-  db->SetLexequalThreshold(3);
+  MURAL_ASSIGN_OR_RETURN(std::unique_ptr<Session> session, db->Connect());
+  MURAL_RETURN_IF_ERROR(session->Set("lexequal_threshold", 3));
 
   // ---- Plan 1 (the good one): Psi(Author, Publisher) first, then join
   //      Book on AuthorID.  The Psi join touches |A| x |P| pairs once.
@@ -85,7 +87,7 @@ Status Run() {
   for (const auto& [name, plan] :
        {std::make_pair("Plan 1 (Psi before join)", plan1),
         std::make_pair("Plan 2 (Psi after join)", plan2)}) {
-    MURAL_ASSIGN_OR_RETURN(QueryResult result, db->Query(plan));
+    MURAL_ASSIGN_OR_RETURN(QueryResult result, session->Query(plan));
     std::printf("---- %s ----\n%s", name, result.explain.c_str());
     std::printf("matches: %lld   runtime: %.1f ms\n\n",
                 static_cast<long long>(result.rows[0][0].int64()),

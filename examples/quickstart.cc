@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "engine/database.h"
+#include "session/session.h"
 
 using namespace mural;
 
@@ -14,14 +15,15 @@ namespace {
 
 Status RunQuickstart() {
   MURAL_ASSIGN_OR_RETURN(std::unique_ptr<Database> db, Database::Open());
+  MURAL_ASSIGN_OR_RETURN(std::unique_ptr<Session> session, db->Connect());
 
   // --- schema: the Books.com catalog of the paper's Figure 1 ------------
   MURAL_RETURN_IF_ERROR(
-      db->Sql("CREATE TABLE Book ("
-              "  BookID   INT,"
-              "  Author   UNITEXT MATERIALIZE PHONEMES,"
-              "  Title    UNITEXT,"
-              "  Category UNITEXT)")
+      session->Sql("CREATE TABLE Book ("
+                   "  BookID   INT,"
+                   "  Author   UNITEXT MATERIALIZE PHONEMES,"
+                   "  Title    UNITEXT,"
+                   "  Category UNITEXT)")
           .status());
 
   // --- data: one author, many languages ---------------------------------
@@ -40,17 +42,17 @@ Status RunQuickstart() {
       " 'Empire Falls'@English, 'Fiction'@English)",
   };
   for (const char* stmt : inserts) {
-    MURAL_RETURN_IF_ERROR(db->Sql(stmt).status());
+    MURAL_RETURN_IF_ERROR(session->Sql(stmt).status());
   }
 
   // --- LexEQUAL: the paper's Figure 2 ------------------------------------
   std::printf("== LexEQUAL: who sounds like 'Nehru'? (threshold 2) ==\n");
-  MURAL_RETURN_IF_ERROR(db->Sql("SET LEXEQUAL_THRESHOLD = 2").status());
+  MURAL_RETURN_IF_ERROR(session->Sql("SET LEXEQUAL_THRESHOLD = 2").status());
   MURAL_ASSIGN_OR_RETURN(
       QueryResult psi,
-      db->Sql("SELECT Author, Title FROM Book "
-              "WHERE Author LexEQUAL 'nehru'@English "
-              "IN English, Hindi, Tamil"));
+      session->Sql("SELECT Author, Title FROM Book "
+                   "WHERE Author LexEQUAL 'nehru'@English "
+                   "IN English, Hindi, Tamil"));
   std::printf("%s\n", psi.ToTable().c_str());
 
   // Phonetic matching is language-aware: French 'rousseau' and English
@@ -58,8 +60,8 @@ Status RunQuickstart() {
   std::printf("== LexEQUAL join flavour: 'rousseau' variants ==\n");
   MURAL_ASSIGN_OR_RETURN(
       QueryResult psi2,
-      db->Sql("SELECT Author, Title FROM Book "
-              "WHERE Author LexEQUAL 'rousseau'@French THRESHOLD 2"));
+      session->Sql("SELECT Author, Title FROM Book "
+                   "WHERE Author LexEQUAL 'rousseau'@French THRESHOLD 2"));
   std::printf("%s\n", psi2.ToTable().c_str());
 
   // --- SemEQUAL: the paper's Figure 4 ------------------------------------
@@ -81,16 +83,16 @@ Status RunQuickstart() {
   std::printf("== SemEQUAL: every History book, in any language ==\n");
   MURAL_ASSIGN_OR_RETURN(
       QueryResult omega,
-      db->Sql("SELECT Author, Title, Category FROM Book "
-              "WHERE Category SemEQUAL 'History'@English "
-              "IN English, Hindi, Tamil"));
+      session->Sql("SELECT Author, Title, Category FROM Book "
+                   "WHERE Category SemEQUAL 'History'@English "
+                   "IN English, Hindi, Tamil"));
   std::printf("%s\n", omega.ToTable().c_str());
 
   // --- EXPLAIN: what the optimizer did ------------------------------------
   MURAL_ASSIGN_OR_RETURN(
       QueryResult explain,
-      db->Sql("EXPLAIN SELECT Author FROM Book "
-              "WHERE Author LexEQUAL 'nehru'@English"));
+      session->Sql("EXPLAIN SELECT Author FROM Book "
+                   "WHERE Author LexEQUAL 'nehru'@English"));
   std::printf("== EXPLAIN ==\n%s\n", explain.explain.c_str());
   return Status::OK();
 }

@@ -1,13 +1,7 @@
 #include "engine/database.h"
 
-#include <algorithm>
-#include <cctype>
-
 #include "catalog/tuple_codec.h"
-#include "common/logging.h"
-#include "common/metrics.h"
 #include "common/string_util.h"
-#include "common/timer.h"
 #include "index/btree.h"
 #include "index/mdi.h"
 #include "index/mtree.h"
@@ -35,44 +29,6 @@ std::string QueryResult::ToTable(size_t max_rows) const {
   return out;
 }
 
-namespace {
-
-/// Pre-order walk collecting estimate-vs-actual feedback for every node
-/// the planner stamped with a cardinality estimate.
-void CollectFeedback(const PhysicalOp& op, int depth,
-                     std::vector<NodeFeedback>* out) {
-  if (op.estimated_rows() >= 0) {
-    NodeFeedback fb;
-    fb.op = op.DisplayName();
-    fb.depth = depth;
-    fb.estimated_rows = op.estimated_rows();
-    fb.actual_rows = op.rows_produced();
-    fb.qerror = QError(static_cast<double>(fb.estimated_rows),
-                       static_cast<double>(fb.actual_rows));
-    out->push_back(std::move(fb));
-  }
-  for (const PhysicalOp* child : op.Children()) {
-    CollectFeedback(*child, depth + 1, out);
-  }
-}
-
-std::string UpperAscii(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
-QueryResult OkResult() {
-  QueryResult result;
-  result.schema = Schema({{"ok", TypeId::kBool}});
-  result.rows.push_back({Value::Bool(true)});
-  return result;
-}
-
-}  // namespace
-
 StatusOr<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   std::unique_ptr<Database> db(new Database());
   if (options.disk_path.empty()) {
@@ -94,11 +50,6 @@ StatusOr<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
       options.degree_of_parallelism;
   db->session_defaults_.batch_size =
       static_cast<int64_t>(options.batch_size);
-  // The built-in session behind the deprecated single-session shims.
-  db->default_session_ =
-      std::make_unique<SessionState>(0, db->phoneme_cache_.get());
-  MURAL_RETURN_IF_ERROR(
-      db->default_session_->ApplyOptions(db->session_defaults_));
   return db;
 }
 
@@ -119,10 +70,7 @@ Status Database::Insert(const std::string& table, Row row) {
     if (schema.column(c).materialize_phonemes && !row[c].is_null() &&
         row[c].type() == TypeId::kUniText &&
         !row[c].unitext().has_phonemes()) {
-      // Materialize is const and stateless — safe through the default
-      // session's transformer regardless of which session inserts.
-      default_session_->exec_context()->transformer->Materialize(
-          &row[c].mutable_unitext());
+      PhoneticTransformer::Default().Materialize(&row[c].mutable_unitext());
     }
   }
   TableWriter writer(info);
@@ -198,7 +146,9 @@ Status Database::CreateIndex(const std::string& index_name,
 }
 
 Status Database::Analyze(const std::string& table) {
-  return AnalyzeWith(table, default_session_->exec_context());
+  ExecContext ctx;
+  if (phoneme_cache_->enabled()) ctx.phoneme_cache = phoneme_cache_.get();
+  return AnalyzeWith(table, &ctx);
 }
 
 Status Database::AnalyzeWith(const std::string& table, ExecContext* ctx) {
@@ -213,7 +163,6 @@ Status Database::AnalyzeWith(const std::string& table, ExecContext* ctx) {
 Status Database::LoadTaxonomy(std::unique_ptr<Taxonomy> taxonomy) {
   taxonomy_ = std::move(taxonomy);
   closure_cache_ = std::make_unique<ClosureCache>(taxonomy_.get());
-  SyncSharedHandles(*default_session_);
 
   // Persist the hierarchy relationally so closure computation can also be
   // driven through the storage layer.
@@ -277,217 +226,6 @@ Status Database::CreateTaxonomyIndexes() {
                      /*on_phonemes=*/false);
 }
 
-void Database::SyncSharedHandles(SessionState& session) {
-  // Sessions minted before LoadTaxonomy still see the taxonomy: the
-  // shared handles are refreshed on every plan entry.
-  ExecContext* ctx = session.exec_context();
-  ctx->taxonomy = taxonomy_.get();
-  ctx->closure_cache = closure_cache_.get();
-}
-
-StatusOr<PhysicalPlan> Database::PlanOn(SessionState& session,
-                                        const LogicalPtr& plan,
-                                        PlannerHints hints) {
-  SyncSharedHandles(session);
-  Planner planner(catalog_.get(), &stats_, session.exec_context());
-  return planner.Plan(plan, hints);
-}
-
-StatusOr<QueryResult> Database::QueryOn(SessionState& session,
-                                       const LogicalPtr& plan,
-                                       PlannerHints hints) {
-  // The single admission funnel: every execution path (Session::Query,
-  // Session::Sql including EXPLAIN ANALYZE, the deprecated shims, the
-  // server) reaches execution through here, so the gate is taken exactly
-  // once per query.
-  double queue_wait_ms = 0;
-  MURAL_ASSIGN_OR_RETURN(AdmissionTicket ticket,
-                         admission_->Admit(&queue_wait_ms));
-  MURAL_ASSIGN_OR_RETURN(PhysicalPlan physical, PlanOn(session, plan, hints));
-  ExecContext* ctx = session.exec_context();
-  QueryResult result;
-  result.session_id = session.id();
-  result.queue_wait_ms = queue_wait_ms;
-  result.schema = physical.root->output_schema();
-  result.predicted_rows = physical.predicted_rows;
-  result.predicted_cost = physical.predicted_cost;
-  result.explain = physical.Explain();
-
-  const ExecStats before = ctx->stats;
-  Timer timer;
-  MURAL_ASSIGN_OR_RETURN(result.rows, CollectAll(physical.root.get()));
-  result.runtime_ms = timer.ElapsedMillis();
-
-  // Plan-vs-actual feedback: walk the executed tree, compare each node's
-  // cardinality estimate with its observed row count, and export the
-  // q-error distribution through the metrics registry.
-  static Histogram* qerror_hist = MetricsRegistry::Global().GetHistogram(
-      "optimizer.qerror", DefaultRatioBounds());
-  CollectFeedback(*physical.root, 0, &result.feedback);
-  for (const NodeFeedback& fb : result.feedback) {
-    result.max_qerror = std::max(result.max_qerror, fb.qerror);
-    qerror_hist->Observe(fb.qerror);
-  }
-  result.explain_analyze = TraceTree(*physical.root);
-  result.explain_analyze += StringFormat(
-      "q-error: max=%.2f over %zu estimated nodes\n", result.max_qerror,
-      result.feedback.size());
-  result.explain_analyze += StringFormat(
-      "session: id=%llu queue_wait_ms=%.2f\n",
-      static_cast<unsigned long long>(result.session_id),
-      result.queue_wait_ms);
-
-  const int64_t slow_millis = session.slow_query_millis();
-  if (slow_millis >= 0 &&
-      result.runtime_ms >= static_cast<double>(slow_millis)) {
-    static Counter* slow_queries =
-        MetricsRegistry::Global().GetCounter("engine.slow_queries");
-    slow_queries->Increment();
-    MURAL_LOG(Warn) << "slow query (session " << session.id() << ": "
-                    << result.runtime_ms << " ms >= " << slow_millis
-                    << " ms):\n"
-                    << result.explain_analyze;
-  }
-
-  // Per-query counter deltas.
-  result.exec_stats = ctx->stats;
-  result.exec_stats.SubtractBaseline(before);
-  return result;
-}
-
-StatusOr<QueryResult> Database::SqlOn(SessionState& session,
-                                      const std::string& statement,
-                                      PlannerHints hints) {
-  MURAL_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(statement));
-  QueryResult result;
-  switch (stmt.kind) {
-    case sql::StatementKind::kSelect: {
-      MURAL_ASSIGN_OR_RETURN(LogicalPtr plan, BindCached(session, stmt));
-      return QueryOn(session, plan, hints);
-    }
-    case sql::StatementKind::kExplain: {
-      MURAL_ASSIGN_OR_RETURN(LogicalPtr plan, BindCached(session, stmt));
-      if (stmt.explain_analyze) {
-        // EXPLAIN ANALYZE: execute, then return the timed plan tree (with
-        // estimated vs actual rows and the q-error summary) as rows.
-        MURAL_ASSIGN_OR_RETURN(QueryResult executed,
-                               QueryOn(session, plan, hints));
-        result = std::move(executed);
-        result.rows.clear();
-        result.schema = Schema({{"plan", TypeId::kText}});
-        for (const std::string& line :
-             Split(result.explain_analyze, '\n')) {
-          if (!line.empty()) result.rows.push_back({Value::Text(line)});
-        }
-        return result;
-      }
-      MURAL_ASSIGN_OR_RETURN(PhysicalPlan physical,
-                             PlanOn(session, plan, hints));
-      result.session_id = session.id();
-      result.schema = Schema({{"plan", TypeId::kText}});
-      result.predicted_rows = physical.predicted_rows;
-      result.predicted_cost = physical.predicted_cost;
-      result.explain = physical.Explain();
-      for (const std::string& line : Split(result.explain, '\n')) {
-        if (!line.empty()) result.rows.push_back({Value::Text(line)});
-      }
-      return result;
-    }
-    case sql::StatementKind::kSet: {
-      // THE settings path: SQL SET and the C++ setters both land in
-      // SessionState::Set, so validation/clamping live in one place.
-      MURAL_RETURN_IF_ERROR(session.Set(stmt.set_name, stmt.set_value));
-      result = OkResult();
-      result.session_id = session.id();
-      return result;
-    }
-    case sql::StatementKind::kCreateTable:
-      MURAL_RETURN_IF_ERROR(CreateTable(stmt.table_name, stmt.schema));
-      result = OkResult();
-      result.session_id = session.id();
-      return result;
-    case sql::StatementKind::kCreateIndex:
-      MURAL_RETURN_IF_ERROR(CreateIndex(stmt.index_name, stmt.table_name,
-                                        stmt.index_column, stmt.index_kind,
-                                        stmt.index_on_phonemes));
-      result = OkResult();
-      result.session_id = session.id();
-      return result;
-    case sql::StatementKind::kInsert: {
-      // Coerce TEXT literals into UNITEXT columns (default: English), the
-      // binder-level counterpart of the compose operator.
-      MURAL_ASSIGN_OR_RETURN(TableInfo * info,
-                             catalog_->GetTable(stmt.table_name));
-      for (Row& row : stmt.insert_rows) {
-        for (size_t c = 0;
-             c < row.size() && c < info->schema.NumColumns(); ++c) {
-          if (info->schema.column(c).type == TypeId::kUniText &&
-              row[c].type() == TypeId::kText) {
-            row[c] = Value::Uni(row[c].text(), lang::kEnglish);
-          }
-        }
-        MURAL_RETURN_IF_ERROR(Insert(stmt.table_name, std::move(row)));
-      }
-      result.session_id = session.id();
-      result.schema = Schema({{"inserted", TypeId::kInt64}});
-      result.rows.push_back(
-          {Value::Int64(static_cast<int64_t>(stmt.insert_rows.size()))});
-      return result;
-    }
-    case sql::StatementKind::kAnalyze:
-      MURAL_RETURN_IF_ERROR(
-          AnalyzeWith(stmt.table_name, session.exec_context()));
-      result = OkResult();
-      result.session_id = session.id();
-      return result;
-    case sql::StatementKind::kPrepare: {
-      // Validate the body now so EXECUTE never hits a parse error, and
-      // refuse nested PREPARE/EXECUTE (no indirection cycles).
-      MURAL_ASSIGN_OR_RETURN(sql::Statement body,
-                             sql::Parse(stmt.prepare_body));
-      if (body.kind == sql::StatementKind::kPrepare ||
-          body.kind == sql::StatementKind::kExecute) {
-        return Status::InvalidArgument(
-            "PREPARE body must not itself be PREPARE or EXECUTE");
-      }
-      (*session.prepared_statements())[UpperAscii(stmt.prepare_name)] =
-          stmt.prepare_body;
-      result = OkResult();
-      result.session_id = session.id();
-      return result;
-    }
-    case sql::StatementKind::kExecute: {
-      const auto* prepared = session.prepared_statements();
-      const auto it = prepared->find(UpperAscii(stmt.prepare_name));
-      if (it == prepared->end()) {
-        return Status::NotFound("no prepared statement named " +
-                                stmt.prepare_name);
-      }
-      // One level of recursion only: PREPARE rejected nested
-      // PREPARE/EXECUTE bodies above.
-      return SqlOn(session, it->second, hints);
-    }
-  }
-  return Status::Internal("unhandled statement kind");
-}
-
-StatusOr<LogicalPtr> Database::BindCached(SessionState& session,
-                                          const sql::Statement& stmt) {
-  // The cache key carries everything that feeds binding and plan shape:
-  // the statement text (which embeds the predicate language set), plus
-  // the session's threshold/DOP/batch knobs.
-  PlanCacheKey key;
-  key.statement = stmt.text;
-  key.lexequal_threshold = session.options().lexequal_threshold;
-  key.degree_of_parallelism = session.options().degree_of_parallelism;
-  key.batch_size = session.options().batch_size;
-  LogicalPtr plan = plan_cache_->Lookup(key);
-  if (plan != nullptr) return plan;
-  MURAL_ASSIGN_OR_RETURN(plan, sql::Bind(stmt, catalog_.get()));
-  plan_cache_->Insert(key, plan);
-  return plan;
-}
-
 StatusOr<pl::UdfRuntime*> Database::udf_runtime() {
   if (udf_ == nullptr) {
     MURAL_ASSIGN_OR_RETURN(udf_, pl::UdfRuntime::Create());
@@ -539,8 +277,10 @@ Status Database::BindUdfHosts() {
                                sql::Bind(parsed, catalog_.get()));
         PlannerHints hints;
         hints.enable_indexscan = outside_closure_btree_;
+        ExecContext ctx;
+        Planner planner(catalog_.get(), &stats_, &ctx);
         MURAL_ASSIGN_OR_RETURN(PhysicalPlan physical,
-                               PlanQuery(plan, hints));
+                               planner.Plan(plan, hints));
         MURAL_ASSIGN_OR_RETURN(std::vector<Row> rows,
                                CollectAll(physical.root.get()));
         auto out = std::make_shared<std::vector<pl::PlValue>>();

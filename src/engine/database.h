@@ -2,34 +2,30 @@
 // statistics, the optimizer, the pinned taxonomy, the shared plan cache,
 // the admission-control gate, and the outside-the-server UDF runtime.
 //
-// One Database serves MANY concurrent sessions.  Per-session state — the
-// settings the paper stores in system tables (§4.2: LexEQUAL threshold,
-// execution mode) plus the execution context, worker pool and prepared
-// statements — lives in SessionState (engine/session_state.h) and is
-// surfaced through the Session API (session/session.h):
+// One Database serves many concurrent sessions and has no query entry
+// point of its own.  Per-session state — the settings the paper stores in
+// system tables (§4.2: LexEQUAL threshold, execution mode) plus the
+// execution context, worker pool and prepared statements — lives in a
+// Session (session/session.h), and every query runs through one:
 //
 //   MURAL_ASSIGN_OR_RETURN(auto db, Database::Open());
 //   MURAL_ASSIGN_OR_RETURN(auto session, db->Connect());
 //   MURAL_ASSIGN_OR_RETURN(QueryResult r, session->Sql("SELECT ..."));
 //
-// The *On(SessionState&, ...) members are the session-parameterized core
-// every entry point funnels through.  The historical single-session
-// methods (Query/Sql/PlanQuery/Set*) survive as thin deprecated shims
-// over a built-in default session so the pre-split call sites keep
-// compiling; new code should Connect() a Session instead.
+// Database keeps the setup surface: DDL, loading, ANALYZE, the taxonomy.
 
 #pragma once
 
 #include <atomic>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 
 #include "catalog/catalog.h"
-#include "common/thread_pool.h"
 #include "datagen/taxonomy_generator.h"
 #include "engine/admission.h"
 #include "engine/plan_cache.h"
-#include "engine/session_state.h"
 #include "exec/exec_context.h"
 #include "optimizer/planner.h"
 #include "phonetic/phoneme_cache.h"
@@ -38,10 +34,6 @@
 #include "storage/disk_manager.h"
 
 namespace mural {
-
-namespace sql {
-struct Statement;
-}  // namespace sql
 
 class Session;  // session layer; minted by Connect(), defined there
 
@@ -70,6 +62,28 @@ struct DatabaseOptions {
   AdmissionOptions admission;
 };
 
+/// The typed per-session settings.  Field defaults are the engine defaults
+/// a fresh session starts with; Database::Open seeds session_defaults()
+/// from DatabaseOptions.
+struct SessionOptions {
+  /// LexEQUAL mismatch threshold (SET LEXEQUAL_THRESHOLD).
+  int lexequal_threshold = 2;
+  /// Degree of parallelism for Psi operators; 0 = hardware concurrency,
+  /// 1 = serial plans (SET DEGREE_OF_PARALLELISM).
+  int degree_of_parallelism = 0;
+  /// Rows per batch on the vectorized path; 0 = tuple-at-a-time
+  /// (SET BATCH_SIZE).
+  int64_t batch_size = 1024;
+  /// Queries running at least this many milliseconds log a warning with
+  /// the timed plan tree; negative disables (SET SLOW_QUERY_MILLIS).
+  int64_t slow_query_millis = -1;
+};
+
+/// Clamp ceilings enforced by Session::Set.
+constexpr int kMaxLexequalThreshold = 256;
+constexpr int kMaxDegreeOfParallelism = 256;
+constexpr int64_t kMaxBatchSize = 65536;
+
 /// Plan-vs-actual feedback for one executed plan node: the planner's
 /// cardinality estimate against the observed row count, as a q-error.
 struct NodeFeedback {
@@ -97,7 +111,7 @@ struct QueryResult {
   /// skipped.  max_qerror summarizes the worst node.
   std::vector<NodeFeedback> feedback;
   double max_qerror = 1.0;
-  /// The session that ran the query (0 = the built-in legacy session).
+  /// The session that ran the query (session ids start at 1).
   uint64_t session_id = 0;
   /// Time spent queued at the admission gate before execution began.
   double queue_wait_ms = 0;
@@ -147,7 +161,9 @@ class Database {
                      const std::string& column, IndexKind kind,
                      bool on_phonemes);
 
-  /// Rebuilds optimizer statistics for a table.
+  /// Rebuilds optimizer statistics for a table.  G2P for MFV phonemes runs
+  /// on a private ExecContext wired to the shared phoneme cache (SQL
+  /// ANALYZE charges the calling session instead; same statistics).
   [[nodiscard]] Status Analyze(const std::string& table);
 
   // ------------------------------------------------------------ taxonomy
@@ -164,81 +180,6 @@ class Database {
 
   const Taxonomy* taxonomy() const { return taxonomy_.get(); }
 
-  // ----------------------------------------- session-parameterized core
-  //
-  // Every query entry point — Session methods, the server, and the
-  // deprecated single-session shims below — funnels through these.
-
-  /// Plans without executing (EXPLAIN) on behalf of `session`.
-  [[nodiscard]] StatusOr<PhysicalPlan> PlanOn(
-      SessionState& session, const LogicalPtr& plan,
-      PlannerHints hints = PlannerHints());
-
-  /// Plans and executes on behalf of `session`: takes an admission-gate
-  /// slot, reports predictions/timings/counters, and stamps the result
-  /// with the session id and queue wait.
-  [[nodiscard]] StatusOr<QueryResult> QueryOn(
-      SessionState& session, const LogicalPtr& plan,
-      PlannerHints hints = PlannerHints());
-
-  /// Parses and runs one SQL statement (SELECT / EXPLAIN / SET / CREATE /
-  /// INSERT / ANALYZE / PREPARE / EXECUTE) on behalf of `session`,
-  /// consulting the shared plan cache for SELECT/EXPLAIN binds and
-  /// routing SET through SessionState::Set.  `hints` reaches the planner
-  /// for SELECT and EXPLAIN [ANALYZE] statements.
-  [[nodiscard]] StatusOr<QueryResult> SqlOn(
-      SessionState& session, const std::string& statement,
-      PlannerHints hints = PlannerHints());
-
-  // --------------------------------------------- deprecated shims
-  //
-  // The pre-split single-session surface, kept so existing call sites
-  // compile.  Each forwards to the built-in default session (id 0).
-  // DEPRECATED: mint a Session with Connect() instead.
-
-  [[nodiscard]] StatusOr<PhysicalPlan> PlanQuery(
-      const LogicalPtr& plan, PlannerHints hints = PlannerHints()) {
-    return PlanOn(*default_session_, plan, hints);
-  }
-  [[nodiscard]] StatusOr<QueryResult> Query(
-      const LogicalPtr& plan, PlannerHints hints = PlannerHints()) {
-    return QueryOn(*default_session_, plan, hints);
-  }
-  [[nodiscard]] StatusOr<QueryResult> Sql(const std::string& statement) {
-    return SqlOn(*default_session_, statement);
-  }
-
-  void SetLexequalThreshold(int threshold) {
-    MURAL_IGNORE_ERROR(
-        default_session_->Set("lexequal_threshold", threshold));
-  }
-  int lexequal_threshold() const {
-    return default_session_->options().lexequal_threshold;
-  }
-  void SetDegreeOfParallelism(int dop) {
-    MURAL_IGNORE_ERROR(default_session_->Set("degree_of_parallelism", dop));
-  }
-  int degree_of_parallelism() const {
-    return default_session_->options().degree_of_parallelism;
-  }
-  void SetBatchSize(int64_t rows) {
-    MURAL_IGNORE_ERROR(default_session_->Set("batch_size", rows));
-  }
-  size_t batch_size() const {
-    return static_cast<size_t>(default_session_->options().batch_size);
-  }
-  void SetSlowQueryMillis(int64_t millis) {
-    MURAL_IGNORE_ERROR(default_session_->Set("slow_query_millis", millis));
-  }
-  int64_t slow_query_millis() const {
-    return default_session_->slow_query_millis();
-  }
-
-  /// DEPRECATED: the default session's execution context.
-  ExecContext* exec_context() { return default_session_->exec_context(); }
-  /// DEPRECATED: the default session's worker pool (null until DOP > 1).
-  ThreadPool* thread_pool() { return default_session_->thread_pool(); }
-
   // -------------------------------------------------------------- access
 
   Catalog* catalog() { return catalog_.get(); }
@@ -252,34 +193,25 @@ class Database {
   /// The outside-the-server UDF runtime with SQL_*/TEMPSET_* host
   /// callbacks bound to this database.  `use_btree_for_closure` selects
   /// how the SQL_CHILDREN host statement executes: B+Tree probe (requires
-  /// CreateTaxonomyIndexes) vs full scan of tax_edges.  Single-session:
-  /// the outside-the-server baseline models the paper's one-user setup
-  /// and runs on the default session.
+  /// CreateTaxonomyIndexes) vs full scan of tax_edges.  The host plans and
+  /// runs that statement on a private ExecContext, outside any session and
+  /// the admission gate, like the paper's one-user outside baseline.
   [[nodiscard]] StatusOr<pl::UdfRuntime*> udf_runtime();
   void set_outside_closure_uses_btree(bool use) {
     outside_closure_btree_ = use;
   }
 
  private:
-  friend class Session;  // Connect() wires SessionStates to this core
+  friend class Session;  // sessions run their queries on this core
 
   Database() = default;
 
   [[nodiscard]] Status BindUdfHosts();
 
-  /// Binds `stmt` through the shared plan cache (hit skips parse+bind
-  /// work; miss binds and populates).
-  [[nodiscard]] StatusOr<LogicalPtr> BindCached(SessionState& session,
-                                                const sql::Statement& stmt);
-
-  /// ANALYZE core: G2P for MFV phonemes runs through `ctx` so the work is
-  /// attributed to the requesting session's counters.
+  /// ANALYZE core: G2P for MFV phonemes runs through `ctx`, so SQL ANALYZE
+  /// charges the requesting session's counters.
   [[nodiscard]] Status AnalyzeWith(const std::string& table,
                                    ExecContext* ctx);
-
-  /// Sessions pick up engine-shared handles (taxonomy, closure cache)
-  /// that may have been loaded after the session was minted.
-  void SyncSharedHandles(SessionState& session);
 
   uint64_t MintSessionId() {
     return next_session_id_.fetch_add(1, std::memory_order_relaxed);
@@ -296,8 +228,6 @@ class Database {
   std::unique_ptr<AdmissionController> admission_;
   SessionOptions session_defaults_;
   std::atomic<uint64_t> next_session_id_{1};
-  /// The built-in session (id 0) behind the deprecated shims.
-  std::unique_ptr<SessionState> default_session_;
   std::unique_ptr<pl::UdfRuntime> udf_;
   bool outside_closure_btree_ = false;
   // TEMPSET_* backing store (models PL/SQL temp tables with an index).

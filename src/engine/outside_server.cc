@@ -9,12 +9,12 @@ namespace {
 
 /// Phoneme string of a stored UniText value (materialized at load time,
 /// like the paper's outside-the-server experiments, §5.3).
-StatusOr<std::string> StoredPhonemes(const Value& v, Database* db) {
+StatusOr<std::string> StoredPhonemes(const Value& v) {
   if (v.type() != TypeId::kUniText) {
     return Status::InvalidArgument("LexEQUAL column must be UNITEXT");
   }
   if (v.unitext().has_phonemes()) return *v.unitext().phonemes();
-  return db->exec_context()->transformer->Transform(v.unitext());
+  return PhoneticTransformer::Default().Transform(v.unitext());
 }
 
 StatusOr<bool> UdfLexMatch(pl::UdfRuntime* udf, const std::string& a,
@@ -37,7 +37,7 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexScan(
   MURAL_ASSIGN_OR_RETURN(const size_t col,
                          info->schema.Resolve(column));
   const std::string query_ph =
-      db->exec_context()->transformer->Transform(query);
+      PhoneticTransformer::Default().Transform(query);
 
   OutsideRunStats stats;
   const pl::UdfStats udf_before = udf->stats();
@@ -60,7 +60,7 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexScan(
       ++stats.rows_examined;
       const Value& v = row[col];
       if (v.is_null()) continue;
-      MURAL_ASSIGN_OR_RETURN(const std::string ph, StoredPhonemes(v, db));
+      MURAL_ASSIGN_OR_RETURN(const std::string ph, StoredPhonemes(v));
       MURAL_ASSIGN_OR_RETURN(const bool match,
                              UdfLexMatch(udf, ph, query_ph, threshold));
       if (match) out.push_back(row);
@@ -72,7 +72,7 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexScan(
       ++stats.rows_examined;
       const Value& v = row[col];
       if (v.is_null()) continue;
-      MURAL_ASSIGN_OR_RETURN(const std::string ph, StoredPhonemes(v, db));
+      MURAL_ASSIGN_OR_RETURN(const std::string ph, StoredPhonemes(v));
       MURAL_ASSIGN_OR_RETURN(const bool match,
                              UdfLexMatch(udf, ph, query_ph, threshold));
       if (match) out.push_back(row);
@@ -81,7 +81,6 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexScan(
   stats.millis = timer.ElapsedMillis();
   stats.udf_calls = udf->stats().calls - udf_before.calls;
   stats.wire_bytes = udf->stats().wire_bytes - udf_before.wire_bytes;
-  db->exec_context()->stats.udf_calls += stats.udf_calls;
   return std::make_pair(std::move(out), stats);
 }
 
@@ -119,7 +118,7 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexJoin(
         TupleCodec::Deserialize(right->schema, it.record(), &row));
     const Value& v = row[rcol];
     if (v.is_null()) continue;
-    MURAL_ASSIGN_OR_RETURN(std::string ph, StoredPhonemes(v, db));
+    MURAL_ASSIGN_OR_RETURN(std::string ph, StoredPhonemes(v));
     inner_rows.push_back(row);
     inner_ph.push_back(std::move(ph));
   }
@@ -131,7 +130,7 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexJoin(
     ++stats.rows_examined;
     const Value& lv = row[lcol];
     if (lv.is_null()) continue;
-    MURAL_ASSIGN_OR_RETURN(const std::string lph, StoredPhonemes(lv, db));
+    MURAL_ASSIGN_OR_RETURN(const std::string lph, StoredPhonemes(lv));
     if (mdi != nullptr) {
       // Probe the inner MDI for candidates of this outer value.
       std::vector<Rid> candidates;
@@ -146,7 +145,7 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexJoin(
         const Value& rv = inner[rcol];
         if (rv.is_null()) continue;
         MURAL_ASSIGN_OR_RETURN(const std::string rph,
-                               StoredPhonemes(rv, db));
+                               StoredPhonemes(rv));
         MURAL_ASSIGN_OR_RETURN(const bool match,
                                UdfLexMatch(udf, lph, rph, threshold));
         if (match) {
@@ -172,7 +171,6 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexJoin(
   stats.millis = timer.ElapsedMillis();
   stats.udf_calls = udf->stats().calls - udf_before.calls;
   stats.wire_bytes = udf->stats().wire_bytes - udf_before.wire_bytes;
-  db->exec_context()->stats.udf_calls += stats.udf_calls;
   return std::make_pair(std::move(out), stats);
 }
 
@@ -227,7 +225,6 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideSemScan(
   stats.millis = timer.ElapsedMillis();
   stats.udf_calls = udf->stats().calls - udf_before.calls;
   stats.wire_bytes = udf->stats().wire_bytes - udf_before.wire_bytes;
-  db->exec_context()->stats.udf_calls += stats.udf_calls;
   return std::make_pair(std::move(out), stats);
 }
 

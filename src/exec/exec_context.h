@@ -23,7 +23,7 @@ class ThreadPool;
 /// Effort counters accumulated during one query execution.
 ///
 /// Every counter must be listed in ForEachCounter, which drives Merge and
-/// the per-query delta in Database::Query.  The static_assert below checks
+/// the per-query delta in Session::Query.  The static_assert below checks
 /// the field count against the struct size, so adding a field without
 /// extending the visitor fails to compile instead of silently dropping the
 /// new counter on the morsel-gather merge.
@@ -36,11 +36,10 @@ struct ExecStats {
   uint64_t closure_computations = 0;   // closure cache misses
   uint64_t closure_reuses = 0;         // closure cache hits
   uint64_t index_probes = 0;
-  uint64_t udf_calls = 0;              // outside-the-server boundary calls
   DistanceStats distance;
 
   /// Number of uint64 counters, including the DistanceStats members.
-  static constexpr size_t kNumCounters = 12;
+  static constexpr size_t kNumCounters = 11;
 
   /// Visits every counter as (name, uint64&).  `Self` is ExecStats or
   /// const ExecStats; the visitor sees const refs in the latter case.
@@ -54,7 +53,6 @@ struct ExecStats {
     fn("closure_computations", s.closure_computations);
     fn("closure_reuses", s.closure_reuses);
     fn("index_probes", s.index_probes);
-    fn("udf_calls", s.udf_calls);
     fn("distance_calls", s.distance.calls);
     fn("distance_cells", s.distance.cells);
     fn("distance_word_ops", s.distance.word_ops);
@@ -90,8 +88,9 @@ static_assert(sizeof(ExecStats) == ExecStats::kNumCounters * sizeof(uint64_t),
               "ExecStats field added: update kNumCounters and "
               "ForEachCounter so Merge does not silently drop it");
 
-/// Shared query-execution context.  Not owned by operators; the engine's
-/// session owns one and threads it through the plan.
+/// Shared query-execution context.  Not owned by operators; each Session
+/// owns one and threads it through the plans it runs (engine-internal
+/// work such as Database::Analyze uses a short-lived private one).
 struct ExecContext {
   /// LexEQUAL mismatch threshold (paper's user-settable system value).
   int lexequal_threshold = 2;
@@ -100,15 +99,15 @@ struct ExecContext {
   /// that do not use the Omega operator.
   const Taxonomy* taxonomy = nullptr;
 
-  /// Materialized-closure cache (paper §4.3); owned by the session so
-  /// closures persist across queries.
+  /// Materialized-closure cache (paper §4.3); owned by the Database and
+  /// shared by every session, so closures persist across queries.
   ClosureCache* closure_cache = nullptr;
 
   /// Text-to-phoneme engine for non-materialized UniText values.
   const PhoneticTransformer* transformer = &PhoneticTransformer::Default();
 
-  /// Shared G2P memoization (thread-safe, session-owned); null = compute
-  /// every transform directly.
+  /// Shared G2P memoization (thread-safe, owned by the Database); null =
+  /// compute every transform directly.
   PhonemeCache* phoneme_cache = nullptr;
 
   /// Worker pool for morsel-parallel operators; null = serial execution
@@ -129,7 +128,7 @@ struct ExecContext {
   /// and no nested parallelism.  Workers merge their stats back after the
   /// gather (ExecStats::Merge).  The closure and phoneme caches are both
   /// internally synchronized (GUARDED_BY-annotated mutexes, see
-  /// common/mutex.h), so workers share the session instances.
+  /// common/mutex.h), so workers share the same instances.
   ExecContext WorkerClone() const {
     ExecContext clone = *this;
     clone.stats.Reset();

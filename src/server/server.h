@@ -44,11 +44,9 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
-#include "engine/session_state.h"
+#include "engine/database.h"
 
 namespace mural {
-
-class Database;
 
 struct ServerOptions {
   /// AF_UNIX listening path; takes precedence when non-empty.  The path

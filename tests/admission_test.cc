@@ -125,19 +125,18 @@ TEST(AdmissionTest, QueuedRequestIsGrantedWhenSlotFrees) {
   EXPECT_EQ(gate.queued(), 0);
 }
 
-// End-to-end: QueryOn is the single admission funnel, so a saturated gate
-// turns Session::Sql into kOverloaded.
+// End-to-end: Session::Query is the single admission funnel, so a saturated
+// gate turns Session::Sql into kOverloaded.
 TEST(AdmissionTest, SaturatedGateShedsQueries) {
   DatabaseOptions options;
   options.admission.max_concurrent = 1;
   options.admission.max_queue = 0;
   auto db = Database::Open(options);
   ASSERT_TRUE(db.ok());
-  ASSERT_TRUE((*db)->Sql("CREATE TABLE T (X INT)").ok());
-  ASSERT_TRUE((*db)->Sql("INSERT INTO T VALUES (1)").ok());
-
   auto session = (*db)->Connect();
   ASSERT_TRUE(session.ok());
+  ASSERT_TRUE((*session)->Sql("CREATE TABLE T (X INT)").ok());
+  ASSERT_TRUE((*session)->Sql("INSERT INTO T VALUES (1)").ok());
 
   // With the only slot free, queries run...
   auto fine = (*session)->Sql("SELECT X FROM T");

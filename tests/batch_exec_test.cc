@@ -16,6 +16,7 @@
 #include "exec/basic_ops.h"
 #include "exec/operator.h"
 #include "mural/algebra.h"
+#include "session/session.h"
 
 namespace mural {
 namespace {
@@ -184,23 +185,28 @@ TEST(BatchSizeSettingTest, SqlSetAndClamping) {
   auto db_or = Database::Open();
   ASSERT_TRUE(db_or.ok());
   std::unique_ptr<Database> db = std::move(*db_or);
-  EXPECT_EQ(db->batch_size(), 1024u);  // default on
+  auto session_or = db->Connect();
+  ASSERT_TRUE(session_or.ok());
+  std::unique_ptr<Session> session = std::move(*session_or);
+  EXPECT_EQ(session->options().batch_size, 1024);  // default on
 
-  ASSERT_TRUE(db->Sql("SET batch_size = 7").ok());
-  EXPECT_EQ(db->batch_size(), 7u);
-  ASSERT_TRUE(db->Sql("SET batch_size = 0").ok());
-  EXPECT_EQ(db->batch_size(), 0u);
+  ASSERT_TRUE(session->Sql("SET batch_size = 7").ok());
+  EXPECT_EQ(session->options().batch_size, 7);
+  ASSERT_TRUE(session->Sql("SET batch_size = 0").ok());
+  EXPECT_EQ(session->options().batch_size, 0);
 
-  db->SetBatchSize(1 << 20);
-  EXPECT_EQ(db->batch_size(), 65536u);
-  db->SetBatchSize(-5);
-  EXPECT_EQ(db->batch_size(), 0u);
+  ASSERT_TRUE(session->Set("batch_size", 1 << 20).ok());
+  EXPECT_EQ(session->options().batch_size, 65536);
+  ASSERT_TRUE(session->Set("batch_size", -5).ok());
+  EXPECT_EQ(session->options().batch_size, 0);
 
   DatabaseOptions options;
   options.batch_size = 13;
   auto db2 = Database::Open(options);
   ASSERT_TRUE(db2.ok());
-  EXPECT_EQ((*db2)->batch_size(), 13u);
+  auto session2 = (*db2)->Connect();
+  ASSERT_TRUE(session2.ok());
+  EXPECT_EQ((*session2)->options().batch_size, 13);
 }
 
 // --------------------------------------------------- trace annotation
@@ -209,7 +215,11 @@ TEST(BatchTraceTest, ExplainAnalyzeReportsBatches) {
   auto db_or = Database::Open();
   ASSERT_TRUE(db_or.ok());
   std::unique_ptr<Database> db = std::move(*db_or);
-  db->SetDegreeOfParallelism(1);  // deterministic serial plan
+  auto session_or = db->Connect();
+  ASSERT_TRUE(session_or.ok());
+  std::unique_ptr<Session> session = std::move(*session_or);
+  // Deterministic serial plan.
+  ASSERT_TRUE(session->Set("degree_of_parallelism", 1).ok());
   Schema schema({{"id", TypeId::kInt32}, {"name", TypeId::kUniText}});
   ASSERT_TRUE(db->CreateTable("t", schema).ok());
   for (int i = 0; i < 50; ++i) {
@@ -225,8 +235,8 @@ TEST(BatchTraceTest, ExplainAnalyzeReportsBatches) {
           .PsiSelect("name", UniText("nira", lang::kEnglish), {}, 1)
           .Build();
 
-  db->SetBatchSize(4);
-  auto batched = db->Query(plan);
+  ASSERT_TRUE(session->Set("batch_size", 4).ok());
+  auto batched = session->Query(plan);
   ASSERT_TRUE(batched.ok());
   EXPECT_NE(batched->explain.find("LexSelect"), std::string::npos)
       << batched->explain;
@@ -236,8 +246,8 @@ TEST(BatchTraceTest, ExplainAnalyzeReportsBatches) {
       << batched->explain_analyze;
 
   // Tuple path: no batch annotation anywhere in the tree.
-  db->SetBatchSize(0);
-  auto tuple = db->Query(plan);
+  ASSERT_TRUE(session->Set("batch_size", 0).ok());
+  auto tuple = session->Query(plan);
   ASSERT_TRUE(tuple.ok());
   EXPECT_EQ(tuple->explain_analyze.find("batches="), std::string::npos)
       << tuple->explain_analyze;

@@ -1,5 +1,6 @@
-// Integration tests for the Database facade: DDL/DML, taxonomy loading,
-// core vs outside-the-server execution paths, and closure strategies.
+// Integration tests for the Database core and its Sessions: DDL/DML,
+// taxonomy loading, core vs outside-the-server execution paths, and closure
+// strategies.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "engine/database.h"
 #include "engine/outside_server.h"
 #include "mural/algebra.h"
+#include "session/session.h"
 
 namespace mural {
 namespace {
@@ -22,6 +24,9 @@ class EngineTest : public ::testing::Test {
     auto db = Database::Open();
     ASSERT_TRUE(db.ok());
     db_ = std::move(*db);
+    auto session = db_->Connect();
+    ASSERT_TRUE(session.ok());
+    session_ = std::move(*session);
   }
 
   void LoadNames(size_t bases, size_t variants) {
@@ -54,6 +59,7 @@ class EngineTest : public ::testing::Test {
   }
 
   std::unique_ptr<Database> db_;
+  std::unique_ptr<Session> session_;
   std::vector<NameRecord> names_;
   GeneratedTaxonomy gen_;
   std::vector<SynsetId> base_synsets_;
@@ -66,7 +72,7 @@ TEST_F(EngineTest, InsertMaterializesPhonemesPerSchema) {
   ASSERT_TRUE(db_->Insert("t", {Value::Uni("nehru", lang::kEnglish),
                                 Value::Uni("nehru", lang::kEnglish)})
                   .ok());
-  auto result = db_->Sql("SELECT * FROM t");
+  auto result = session_->Sql("SELECT * FROM t");
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->rows.size(), 1u);
   EXPECT_TRUE(result->rows[0][0].unitext().has_phonemes());
@@ -75,7 +81,7 @@ TEST_F(EngineTest, InsertMaterializesPhonemesPerSchema) {
 
 TEST_F(EngineTest, CoreLexScanFindsHomophoneFamilies) {
   LoadNames(200, 4);
-  db_->SetLexequalThreshold(3);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 3).ok());
   // Query with the first record's name: its base family must be found.
   const NameRecord& probe = names_[0];
   auto plan =
@@ -83,7 +89,7 @@ TEST_F(EngineTest, CoreLexScanFindsHomophoneFamilies) {
                          (*db_->catalog()->GetTable("names"))->schema)
           .PsiSelect("name", probe.name)
           .Build();
-  auto result = db_->Query(plan);
+  auto result = session_->Query(plan);
   ASSERT_TRUE(result.ok());
   std::set<uint32_t> found;
   for (const Row& r : result->rows) {
@@ -102,7 +108,7 @@ TEST_F(EngineTest, CoreLexScanFindsHomophoneFamilies) {
 
 TEST_F(EngineTest, OutsideLexScanMatchesCoreResults) {
   LoadNames(100, 4);
-  db_->SetLexequalThreshold(2);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 2).ok());
   const NameRecord& probe = names_[5];
 
   auto core_plan =
@@ -110,7 +116,7 @@ TEST_F(EngineTest, OutsideLexScanMatchesCoreResults) {
                          (*db_->catalog()->GetTable("names"))->schema)
           .PsiSelect("name", probe.name)
           .Build();
-  auto core = db_->Query(core_plan);
+  auto core = session_->Query(core_plan);
   ASSERT_TRUE(core.ok());
 
   auto outside = OutsideLexScan(db_.get(), "names", "name", probe.name, 2);
@@ -125,7 +131,7 @@ TEST_F(EngineTest, OutsideLexScanWithMdiVerifiesCandidates) {
   ASSERT_TRUE(db_->CreateIndex("names_mdi", "names", "name",
                                IndexKind::kMdi, /*on_phonemes=*/true)
                   .ok());
-  db_->SetLexequalThreshold(2);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 2).ok());
   const NameRecord& probe = names_[9];
   auto plain = OutsideLexScan(db_.get(), "names", "name", probe.name, 2);
   auto indexed = OutsideLexScan(db_.get(), "names", "name", probe.name, 2,
@@ -151,7 +157,7 @@ TEST_F(EngineTest, OutsideLexJoinMatchesCoreJoin) {
             .ok());
   }
   ASSERT_TRUE(db_->Analyze("other").ok());
-  db_->SetLexequalThreshold(1);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 1).ok());
 
   auto core_plan =
       MuralBuilder::Scan("names",
@@ -160,7 +166,7 @@ TEST_F(EngineTest, OutsideLexJoinMatchesCoreJoin) {
                        "other", (*db_->catalog()->GetTable("other"))->schema),
                    "name", "name")
           .Build();
-  auto core = db_->Query(core_plan);
+  auto core = session_->Query(core_plan);
   ASSERT_TRUE(core.ok());
 
   auto outside = OutsideLexJoin(db_.get(), "names", "name", "other", "name",
@@ -245,7 +251,7 @@ TEST_F(EngineTest, OutsideSemScanMatchesCoreOmega) {
   const UniText query(probe_concept.lemma, probe_concept.lang);
   auto core_plan =
       MuralBuilder::Scan("docs", schema).OmegaSelect("cat", query).Build();
-  auto core = db_->Query(core_plan);
+  auto core = session_->Query(core_plan);
   ASSERT_TRUE(core.ok());
 
   auto outside = OutsideSemScan(db_.get(), "docs", "cat", query,
@@ -267,14 +273,14 @@ TEST_F(EngineTest, BooksDatasetLoadsAndJoins) {
   options.publisher_author_overlap = 0.3;
   const BooksDataset data = GenerateBooks(options, tax);
 
-  ASSERT_TRUE(db_->Sql("CREATE TABLE Author (AuthorID INT, "
-                       "AName UNITEXT MATERIALIZE PHONEMES)")
+  ASSERT_TRUE(session_->Sql("CREATE TABLE Author (AuthorID INT, "
+                            "AName UNITEXT MATERIALIZE PHONEMES)")
                   .ok());
-  ASSERT_TRUE(db_->Sql("CREATE TABLE Publisher (PublisherID INT, "
-                       "PName UNITEXT MATERIALIZE PHONEMES)")
+  ASSERT_TRUE(session_->Sql("CREATE TABLE Publisher (PublisherID INT, "
+                            "PName UNITEXT MATERIALIZE PHONEMES)")
                   .ok());
-  ASSERT_TRUE(db_->Sql("CREATE TABLE Book (BookID INT, AuthorID INT, "
-                       "PublisherID INT, Title UNITEXT, Category UNITEXT)")
+  ASSERT_TRUE(session_->Sql("CREATE TABLE Book (BookID INT, AuthorID INT, "
+                            "PublisherID INT, Title UNITEXT, Category UNITEXT)")
                   .ok());
   for (const AuthorRow& a : data.authors) {
     ASSERT_TRUE(db_->Insert("Author", {Value::Int32(a.author_id),
@@ -297,8 +303,8 @@ TEST_F(EngineTest, BooksDatasetLoadsAndJoins) {
   for (const char* t : {"Author", "Publisher", "Book"}) {
     ASSERT_TRUE(db_->Analyze(t).ok());
   }
-  db_->SetLexequalThreshold(3);
-  auto result = db_->Sql(
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 3).ok());
+  auto result = session_->Sql(
       "SELECT count(*) FROM Author A, Publisher P "
       "WHERE A.AName LexEQUAL P.PName");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -308,7 +314,7 @@ TEST_F(EngineTest, BooksDatasetLoadsAndJoins) {
 
 TEST_F(EngineTest, ExplainAnalyzeReportsActualRows) {
   LoadNames(50, 3);
-  db_->SetLexequalThreshold(2);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 2).ok());
   // The assertions below inspect a two-node Filter-over-SeqScan tree,
   // which a Psi predicate plans only when opaque (outside-the-server).
   PlannerHints opaque;
@@ -318,7 +324,7 @@ TEST_F(EngineTest, ExplainAnalyzeReportsActualRows) {
                          (*db_->catalog()->GetTable("names"))->schema)
           .PsiSelect("name", names_[0].name)
           .Build();
-  auto result = db_->Query(plan, opaque);
+  auto result = session_->Query(plan, opaque);
   ASSERT_TRUE(result.ok());
   // The analyzed plan carries per-operator actual row counts; the scan
   // line must report the full table, the filter line the result size.
@@ -333,14 +339,14 @@ TEST_F(EngineTest, ExplainAnalyzeReportsActualRows) {
 
 TEST_F(EngineTest, QueryReportsPerQueryStats) {
   LoadNames(50, 3);
-  db_->SetLexequalThreshold(2);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 2).ok());
   auto plan =
       MuralBuilder::Scan("names",
                          (*db_->catalog()->GetTable("names"))->schema)
           .PsiSelect("name", names_[0].name)
           .Build();
-  auto r1 = db_->Query(plan);
-  auto r2 = db_->Query(plan);
+  auto r1 = session_->Query(plan);
+  auto r2 = session_->Query(plan);
   ASSERT_TRUE(r1.ok() && r2.ok());
   // Deltas, not cumulative: the two runs report the same work.
   EXPECT_EQ(r1->exec_stats.distance.calls, r2->exec_stats.distance.calls);

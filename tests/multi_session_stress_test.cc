@@ -157,15 +157,11 @@ TEST(MultiSessionStressTest, SixteenConcurrentSessionsMatchSerialRuns) {
   }
 
   // Serial reference: a fresh single-session engine per distinct config
-  // (12 distinct configs for 16 sessions — the sweep wraps), run with the
-  // deprecated single-session surface to also pin shim equivalence.
+  // (12 distinct configs for 16 sessions — the sweep wraps).
   for (size_t i = 0; i < kSessions; ++i) {
     const SessionOptions config = ConfigFor(i);
     auto fresh = MakeNamesDatabase();
     ASSERT_TRUE(fresh.ok());
-    (*fresh)->SetLexequalThreshold(config.lexequal_threshold);
-    (*fresh)->SetDegreeOfParallelism(config.degree_of_parallelism);
-    (*fresh)->SetBatchSize(config.batch_size);
     auto reference = (*fresh)->Connect(config);
     ASSERT_TRUE(reference.ok());
     auto expected = RunWorkload(reference->get());

@@ -10,6 +10,7 @@
 #include "datagen/name_generator.h"
 #include "engine/database.h"
 #include "mural/algebra.h"
+#include "session/session.h"
 
 namespace mural {
 namespace {
@@ -35,6 +36,9 @@ class CompositionTest : public ::testing::TestWithParam<uint64_t> {
     auto db = Database::Open();
     ASSERT_TRUE(db.ok());
     db_ = std::move(*db);
+    auto session = db_->Connect();
+    ASSERT_TRUE(session.ok());
+    session_ = std::move(*session);
     Rng rng(GetParam());
 
     Schema names({{"name", TypeId::kUniText, /*mat=*/true},
@@ -88,7 +92,7 @@ class CompositionTest : public ::testing::TestWithParam<uint64_t> {
       }
       ASSERT_TRUE(db_->Analyze(t).ok());
     }
-    db_->SetLexequalThreshold(2);
+    ASSERT_TRUE(session_->Set("lexequal_threshold", 2).ok());
   }
 
   Schema TableSchema(const std::string& name) {
@@ -96,12 +100,13 @@ class CompositionTest : public ::testing::TestWithParam<uint64_t> {
   }
 
   std::vector<Row> Rows(const LogicalPtr& plan) {
-    auto result = db_->Query(plan);
+    auto result = session_->Query(plan);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result.ok() ? result->rows : std::vector<Row>{};
   }
 
   std::unique_ptr<Database> db_;
+  std::unique_ptr<Session> session_;
   std::vector<std::string> lemmas_;
 };
 

@@ -17,6 +17,7 @@
 #include "engine/database.h"
 #include "exec/basic_ops.h"
 #include "mural/algebra.h"
+#include "session/session.h"
 
 namespace mural {
 namespace {
@@ -233,6 +234,9 @@ class ObservabilityTest : public ::testing::Test {
     auto db = Database::Open();
     ASSERT_TRUE(db.ok());
     db_ = std::move(*db);
+    auto session = db_->Connect();
+    ASSERT_TRUE(session.ok());
+    session_ = std::move(*session);
   }
 
   void LoadNames(size_t bases, size_t variants) {
@@ -254,6 +258,7 @@ class ObservabilityTest : public ::testing::Test {
   }
 
   std::unique_ptr<Database> db_;
+  std::unique_ptr<Session> session_;
   Schema names_schema_;
   std::vector<NameRecord> names_;
 };
@@ -267,7 +272,7 @@ TEST_F(ObservabilityTest, PsiScanQErrorBoundedAtAllThresholds) {
     auto plan = MuralBuilder::Scan("names", names_schema_)
                     .PsiSelect("name", names_[0].name, {}, threshold)
                     .Build();
-    auto result = db_->Query(plan);
+    auto result = session_->Query(plan);
     ASSERT_TRUE(result.ok()) << "threshold=" << threshold;
     ASSERT_FALSE(result->feedback.empty());
     EXPECT_GE(result->max_qerror, 1.0);
@@ -301,7 +306,7 @@ TEST_F(ObservabilityTest, PsiJoinQErrorBoundedAtAllThresholds) {
                     .PsiJoin(MuralBuilder::Scan("others", names_schema_),
                              "name", "name", threshold)
                     .Build();
-    auto result = db_->Query(plan);
+    auto result = session_->Query(plan);
     ASSERT_TRUE(result.ok()) << "threshold=" << threshold;
     ASSERT_FALSE(result->feedback.empty());
     EXPECT_LE(result->max_qerror, kQErrorBound)
@@ -342,7 +347,7 @@ TEST_F(ObservabilityTest, OmegaClosureQErrorBounded) {
     auto plan = MuralBuilder::Scan("docs", schema)
                     .OmegaSelect("cat", UniText(probe.lemma, probe.lang))
                     .Build();
-    auto result = db_->Query(plan);
+    auto result = session_->Query(plan);
     ASSERT_TRUE(result.ok()) << probe.lemma;
     ASSERT_FALSE(result->feedback.empty());
     EXPECT_LE(result->max_qerror, kQErrorBound)
@@ -353,7 +358,7 @@ TEST_F(ObservabilityTest, OmegaClosureQErrorBounded) {
 TEST_F(ObservabilityTest, NoPredicateScanEstimateIsExact) {
   LoadNames(/*bases=*/50, /*variants=*/3);
   auto plan = MuralBuilder::Scan("names", names_schema_).Build();
-  auto result = db_->Query(plan);
+  auto result = session_->Query(plan);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rows.size(), 150u);
   // ANALYZE records the exact row count, so a bare scan is a perfect
@@ -382,7 +387,7 @@ TEST_F(ObservabilityTest, MfvEqualityEstimateIsExact) {
   }
   ASSERT_TRUE(db_->Analyze("nums").ok());
 
-  auto result = db_->Sql("SELECT id FROM nums WHERE id = 7");
+  auto result = session_->Sql("SELECT id FROM nums WHERE id = 7");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->rows.size(), 60u);
   ASSERT_FALSE(result->feedback.empty());
@@ -395,7 +400,7 @@ TEST_F(ObservabilityTest, MfvEqualityEstimateIsExact) {
 
 TEST_F(ObservabilityTest, ExplainAnalyzeSqlRendersTimedTree) {
   LoadNames(/*bases=*/30, /*variants=*/3);
-  auto result = db_->Sql(
+  auto result = session_->Sql(
       "EXPLAIN ANALYZE SELECT count(*) FROM names A, names B "
       "WHERE A.name LexEQUAL B.name");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -419,20 +424,20 @@ TEST_F(ObservabilityTest, SlowQueryThresholdCountsQueries) {
       MetricsRegistry::Global().GetCounter("engine.slow_queries");
 
   // Disabled by default: no query is slow.
-  EXPECT_EQ(db_->slow_query_millis(), -1);
+  EXPECT_EQ(session_->options().slow_query_millis, -1);
   const uint64_t before = slow->value();
-  ASSERT_TRUE(db_->Sql("SELECT id FROM names").ok());
+  ASSERT_TRUE(session_->Sql("SELECT id FROM names").ok());
   EXPECT_EQ(slow->value(), before);
 
   // Threshold 0: every query qualifies and increments the counter.
-  ASSERT_TRUE(db_->Sql("SET SLOW_QUERY_MILLIS = 0").ok());
-  EXPECT_EQ(db_->slow_query_millis(), 0);
-  ASSERT_TRUE(db_->Sql("SELECT id FROM names").ok());
+  ASSERT_TRUE(session_->Sql("SET SLOW_QUERY_MILLIS = 0").ok());
+  EXPECT_EQ(session_->options().slow_query_millis, 0);
+  ASSERT_TRUE(session_->Sql("SELECT id FROM names").ok());
   EXPECT_EQ(slow->value(), before + 1);
 
   // Back off via the session API; the counter stops advancing.
-  db_->SetSlowQueryMillis(-1);
-  ASSERT_TRUE(db_->Sql("SELECT id FROM names").ok());
+  ASSERT_TRUE(session_->Set("slow_query_millis", -1).ok());
+  ASSERT_TRUE(session_->Sql("SELECT id FROM names").ok());
   EXPECT_EQ(slow->value(), before + 1);
 }
 

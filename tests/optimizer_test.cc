@@ -8,6 +8,7 @@
 #include "mural/algebra.h"
 #include "optimizer/cardinality.h"
 #include "optimizer/cost_model.h"
+#include "session/session.h"
 
 namespace mural {
 namespace {
@@ -18,6 +19,9 @@ class OptimizerTest : public ::testing::Test {
     auto db = Database::Open();
     ASSERT_TRUE(db.ok());
     db_ = std::move(*db);
+    auto session = db_->Connect();
+    ASSERT_TRUE(session.ok());
+    session_ = std::move(*session);
     Schema schema({{"id", TypeId::kInt32},
                    {"name", TypeId::kUniText, /*mat=*/true}});
     ASSERT_TRUE(db_->CreateTable("names", schema).ok());
@@ -39,6 +43,7 @@ class OptimizerTest : public ::testing::Test {
   }
 
   std::unique_ptr<Database> db_;
+  std::unique_ptr<Session> session_;
 };
 
 // ---------------------------------------------------------------- stats
@@ -80,18 +85,18 @@ TEST_F(OptimizerTest, PsiSelectivityTracksMfvMassAndThreshold) {
 
   const Value query = Value::Uni("nehru", lang::kEnglish);
   const double sel0 =
-      est.PsiScanSelectivity(*name, query, 0, db_->exec_context());
+      est.PsiScanSelectivity(*name, query, 0, session_->exec_context());
   // At least the 50 exact copies out of 1000.
   EXPECT_GE(sel0, 0.05);
   const double sel3 =
-      est.PsiScanSelectivity(*name, query, 3, db_->exec_context());
+      est.PsiScanSelectivity(*name, query, 3, session_->exec_context());
   EXPECT_GE(sel3, sel0);  // threshold inflation is monotone
   EXPECT_LE(sel3, 1.0);
 
   // A query far from every MFV gets only the tail inflation.
   const Value far = Value::Uni("zzzzzzzzzz", lang::kEnglish);
   const double self_far =
-      est.PsiScanSelectivity(*name, far, 1, db_->exec_context());
+      est.PsiScanSelectivity(*name, far, 1, session_->exec_context());
   EXPECT_LT(self_far, sel0);
 }
 
@@ -190,15 +195,15 @@ TEST_F(OptimizerTest, PlannerPicksMTreeForSelectivePsiScan) {
   ASSERT_TRUE(db_->CreateIndex("names_mtree", "names", "name",
                                IndexKind::kMTree, /*on_phonemes=*/true)
                   .ok());
-  db_->SetLexequalThreshold(1);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 1).ok());
   // Pin the tuple-at-a-time path: this test compares the index race
   // against the scan leaf's per-tuple (Table 3) cost specifically.
-  db_->SetBatchSize(0);
+  ASSERT_TRUE(session_->Set("batch_size", 0).ok());
   auto plan = MuralBuilder::Scan(
                   "names", (*db_->catalog()->GetTable("names"))->schema)
                   .PsiSelect("name", UniText("nehru", lang::kEnglish))
                   .Build();
-  auto physical = db_->PlanQuery(plan);
+  auto physical = session_->PlanQuery(plan);
   ASSERT_TRUE(physical.ok());
   EXPECT_NE(physical->Explain().find("mtreeIndexScan"), std::string::npos)
       << physical->Explain();
@@ -206,7 +211,7 @@ TEST_F(OptimizerTest, PlannerPicksMTreeForSelectivePsiScan) {
   // Disabling the metric index forces the scan leaf.
   PlannerHints hints;
   hints.enable_mtree = false;
-  auto forced = db_->PlanQuery(plan, hints);
+  auto forced = session_->PlanQuery(plan, hints);
   ASSERT_TRUE(forced.ok());
   EXPECT_EQ(forced->Explain().find("mtreeIndexScan"), std::string::npos);
   EXPECT_NE(forced->Explain().find("LexSelect("), std::string::npos)
@@ -220,15 +225,15 @@ TEST_F(OptimizerTest, IndexAndSeqPlansReturnSameRows) {
   ASSERT_TRUE(db_->CreateIndex("names_mtree", "names", "name",
                                IndexKind::kMTree, /*on_phonemes=*/true)
                   .ok());
-  db_->SetLexequalThreshold(2);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 2).ok());
   auto plan = MuralBuilder::Scan(
                   "names", (*db_->catalog()->GetTable("names"))->schema)
                   .PsiSelect("name", UniText("nehru", lang::kEnglish))
                   .Build();
-  auto with_index = db_->Query(plan);
+  auto with_index = session_->Query(plan);
   PlannerHints hints;
   hints.enable_mtree = false;
-  auto without = db_->Query(plan, hints);
+  auto without = session_->Query(plan, hints);
   ASSERT_TRUE(with_index.ok() && without.ok());
   EXPECT_EQ(with_index->rows.size(), without->rows.size());
   EXPECT_GE(with_index->rows.size(), 50u);
@@ -242,11 +247,11 @@ TEST_F(OptimizerTest, PlannerPicksBTreeForEqualityProbe) {
   auto plan = MuralBuilder::Scan("names", (*table)->schema)
                   .Select(Eq(Col(0, "id"), Lit(Value::Int32(77))))
                   .Build();
-  auto physical = db_->PlanQuery(plan);
+  auto physical = session_->PlanQuery(plan);
   ASSERT_TRUE(physical.ok());
   EXPECT_NE(physical->Explain().find("btreeIndexScan"), std::string::npos)
       << physical->Explain();
-  auto result = db_->Query(plan);
+  auto result = session_->Query(plan);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->rows.size(), 1u);
   EXPECT_EQ(result->rows[0][0].int32(), 77);
@@ -262,7 +267,7 @@ TEST_F(OptimizerTest, OpaqueMultilingualHintBlocksMetricIndex) {
                   .Build();
   PlannerHints hints;
   hints.opaque_multilingual = true;
-  auto physical = db_->PlanQuery(plan, hints);
+  auto physical = session_->PlanQuery(plan, hints);
   ASSERT_TRUE(physical.ok());
   EXPECT_EQ(physical->Explain().find("mtreeIndexScan"), std::string::npos);
 }
@@ -287,7 +292,8 @@ TEST_F(OptimizerTest, ParallelizeDividesCpuAndChargesCoordination) {
 }
 
 TEST_F(OptimizerTest, SerialPlanAtDopOneAndAtSmallCardinality) {
-  db_->SetDegreeOfParallelism(8);  // provision the pool
+  // Provision the pool.
+  ASSERT_TRUE(session_->Set("degree_of_parallelism", 8).ok());
   auto plan = MuralBuilder::Scan(
                   "names", (*db_->catalog()->GetTable("names"))->schema)
                   .PsiSelect("name", UniText("nehru", lang::kEnglish))
@@ -297,7 +303,7 @@ TEST_F(OptimizerTest, SerialPlanAtDopOneAndAtSmallCardinality) {
 
   // Explicit DOP = 1: the Psi leaf runs serially.
   hints.degree_of_parallelism = 1;
-  auto serial = db_->PlanQuery(plan, hints);
+  auto serial = session_->PlanQuery(plan, hints);
   ASSERT_TRUE(serial.ok());
   EXPECT_NE(serial->Explain().find("LexSelect("), std::string::npos)
       << serial->Explain();
@@ -307,9 +313,9 @@ TEST_F(OptimizerTest, SerialPlanAtDopOneAndAtSmallCardinality) {
   // DOP = 4 but only 1000 rows at threshold 2: the Table-3 CPU term
   // (~12 units) is below the parallel setup+worker charge, so the cost
   // model keeps the serial plan.
-  db_->SetLexequalThreshold(2);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 2).ok());
   hints.degree_of_parallelism = 4;
-  auto small = db_->PlanQuery(plan, hints);
+  auto small = session_->PlanQuery(plan, hints);
   ASSERT_TRUE(small.ok());
   EXPECT_NE(small->Explain().find("LexSelect("), std::string::npos)
       << small->Explain();
@@ -318,10 +324,10 @@ TEST_F(OptimizerTest, SerialPlanAtDopOneAndAtSmallCardinality) {
 }
 
 TEST_F(OptimizerTest, ParallelPlanWhenCpuTermDominates) {
-  db_->SetDegreeOfParallelism(8);
+  ASSERT_TRUE(session_->Set("degree_of_parallelism", 8).ok());
   // Threshold 6 widens the edit-distance band: the per-row CPU term grows
   // past the parallel overhead, so the parallel candidate wins.
-  db_->SetLexequalThreshold(6);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 6).ok());
   auto plan = MuralBuilder::Scan(
                   "names", (*db_->catalog()->GetTable("names"))->schema)
                   .PsiSelect("name", UniText("nehru", lang::kEnglish))
@@ -329,7 +335,7 @@ TEST_F(OptimizerTest, ParallelPlanWhenCpuTermDominates) {
   PlannerHints hints;
   hints.enable_mtree = false;
   hints.degree_of_parallelism = 4;
-  auto par = db_->PlanQuery(plan, hints);
+  auto par = session_->PlanQuery(plan, hints);
   ASSERT_TRUE(par.ok());
   EXPECT_NE(par->Explain().find("LexSelect("), std::string::npos)
       << par->Explain();
@@ -339,7 +345,7 @@ TEST_F(OptimizerTest, ParallelPlanWhenCpuTermDominates) {
   // The opaque-multilingual hint (paper §4.1: engine can't see inside the
   // predicate) also blocks parallel rewrites.
   hints.opaque_multilingual = true;
-  auto opaque = db_->PlanQuery(plan, hints);
+  auto opaque = session_->PlanQuery(plan, hints);
   ASSERT_TRUE(opaque.ok());
   EXPECT_EQ(opaque->Explain().find("LexSelect"), std::string::npos)
       << opaque->Explain();
@@ -348,12 +354,12 @@ TEST_F(OptimizerTest, ParallelPlanWhenCpuTermDominates) {
 }
 
 TEST_F(OptimizerTest, PredictedRowsTrackActualForPsiScan) {
-  db_->SetLexequalThreshold(1);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 1).ok());
   auto plan = MuralBuilder::Scan(
                   "names", (*db_->catalog()->GetTable("names"))->schema)
                   .PsiSelect("name", UniText("nehru", lang::kEnglish))
                   .Build();
-  auto result = db_->Query(plan);
+  auto result = session_->Query(plan);
   ASSERT_TRUE(result.ok());
   // The MFV-based estimate must be within a small factor of the truth
   // (the 50 copies dominate).

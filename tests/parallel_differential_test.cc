@@ -34,6 +34,7 @@
 #include "exec/scan_ops.h"
 #include "mural/algebra.h"
 #include "phonetic/phoneme_cache.h"
+#include "session/session.h"
 
 namespace mural {
 namespace {
@@ -581,9 +582,12 @@ TEST(PlannerDifferentialTest, ScanSweepProducesIdenticalResults) {
                                    /*materialize=*/true);
     ASSERT_TRUE(db_or.ok());
     std::unique_ptr<Database> db = std::move(*db_or);
+    auto session_or = db->Connect();
+    ASSERT_TRUE(session_or.ok());
+    std::unique_ptr<Session> session = std::move(*session_or);
     // Provision the worker pool regardless of this machine's core count;
     // the hint sweep below selects the per-query DOP.
-    db->SetDegreeOfParallelism(8);
+    ASSERT_TRUE(session->Set("degree_of_parallelism", 8).ok());
 
     NameGenOptions gen;
     gen.seed = seed;
@@ -603,7 +607,7 @@ TEST(PlannerDifferentialTest, ScanSweepProducesIdenticalResults) {
       PlannerHints hints;
       hints.enable_mtree = false;
       hints.degree_of_parallelism = dop;
-      auto result = db->Query(plan, hints);
+      auto result = session->Query(plan, hints);
       ASSERT_TRUE(result.ok()) << "seed=" << seed << " dop=" << dop;
       // One Psi scan leaf at every DOP.
       EXPECT_NE(result->explain.find("LexSelect("), std::string::npos)
@@ -632,7 +636,10 @@ TEST(PlannerDifferentialTest, JoinSweepProducesIdenticalResults) {
                                    /*materialize=*/true);
     ASSERT_TRUE(db_or.ok());
     std::unique_ptr<Database> db = std::move(*db_or);
-    db->SetDegreeOfParallelism(8);
+    auto session_or = db->Connect();
+    ASSERT_TRUE(session_or.ok());
+    std::unique_ptr<Session> session = std::move(*session_or);
+    ASSERT_TRUE(session->Set("degree_of_parallelism", 8).ok());
 
     // Second table for the join.
     const Schema schema({{"id", TypeId::kInt32},
@@ -664,7 +671,7 @@ TEST(PlannerDifferentialTest, JoinSweepProducesIdenticalResults) {
       PlannerHints hints;
       hints.enable_mtree = false;
       hints.degree_of_parallelism = dop;
-      auto result = db->Query(plan, hints);
+      auto result = session->Query(plan, hints);
       ASSERT_TRUE(result.ok()) << "seed=" << seed << " dop=" << dop;
       if (dop == 1) {
         EXPECT_EQ(result->explain.find("dop="), std::string::npos)
@@ -693,7 +700,10 @@ TEST(PlannerDifferentialTest, BatchSweepProducesIdenticalResults) {
                                    /*materialize=*/true);
     ASSERT_TRUE(db_or.ok());
     std::unique_ptr<Database> db = std::move(*db_or);
-    db->SetDegreeOfParallelism(8);
+    auto session_or = db->Connect();
+    ASSERT_TRUE(session_or.ok());
+    std::unique_ptr<Session> session = std::move(*session_or);
+    ASSERT_TRUE(session->Set("degree_of_parallelism", 8).ok());
 
     NameGenOptions gen;
     gen.seed = seed;
@@ -708,7 +718,7 @@ TEST(PlannerDifferentialTest, BatchSweepProducesIdenticalResults) {
 
     PlannerHints opaque;
     opaque.opaque_multilingual = true;
-    auto oracle = db->Query(plan, opaque);
+    auto oracle = session->Query(plan, opaque);
     ASSERT_TRUE(oracle.ok());
     ASSERT_EQ(oracle->explain.find("LexSelect"), std::string::npos)
         << oracle->explain;
@@ -717,13 +727,14 @@ TEST(PlannerDifferentialTest, BatchSweepProducesIdenticalResults) {
     uint64_t reference_calls = 0;
     for (const size_t batch : kBatches) {
       ASSERT_TRUE(
-          db->Sql("SET batch_size = " + std::to_string(batch)).ok());
-      ASSERT_EQ(db->batch_size(), batch);
+          session->Sql("SET batch_size = " + std::to_string(batch)).ok());
+      ASSERT_EQ(session->options().batch_size,
+                static_cast<int64_t>(batch));
       for (const int dop : kDops) {
         PlannerHints hints;
         hints.enable_mtree = false;
         hints.degree_of_parallelism = dop;
-        auto result = db->Query(plan, hints);
+        auto result = session->Query(plan, hints);
         ASSERT_TRUE(result.ok())
             << "seed=" << seed << " batch=" << batch << " dop=" << dop;
         // The same leaf at every batch size and DOP.
@@ -751,7 +762,10 @@ TEST(PlannerDifferentialTest, PsiAndOmegaScanStaysSerial) {
                                  /*materialize=*/true);
   ASSERT_TRUE(db_or.ok());
   std::unique_ptr<Database> db = std::move(*db_or);
-  db->SetDegreeOfParallelism(8);
+  auto session_or = db->Connect();
+  ASSERT_TRUE(session_or.ok());
+  std::unique_ptr<Session> session = std::move(*session_or);
+  ASSERT_TRUE(session->Set("degree_of_parallelism", 8).ok());
 
   NameGenOptions gen;
   gen.seed = 42;
@@ -779,19 +793,19 @@ TEST(PlannerDifferentialTest, PsiAndOmegaScanStaysSerial) {
   PlannerHints hints;
   hints.enable_mtree = false;
   hints.degree_of_parallelism = 4;
-  auto par = db->Query(psi_only, hints);
+  auto par = session->Query(psi_only, hints);
   ASSERT_TRUE(par.ok());
   ASSERT_NE(par->explain.find("dop=4"), std::string::npos) << par->explain;
 
   PlannerHints opaque;
   opaque.opaque_multilingual = true;
-  auto oracle = db->Query(psi_and_omega, opaque);
+  auto oracle = session->Query(psi_and_omega, opaque);
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
   ASSERT_FALSE(oracle->rows.empty());
 
   for (const int dop : kDops) {
     hints.degree_of_parallelism = dop;
-    auto result = db->Query(psi_and_omega, hints);
+    auto result = session->Query(psi_and_omega, hints);
     ASSERT_TRUE(result.ok()) << "dop=" << dop;
     EXPECT_NE(result->explain.find("LexSelect("), std::string::npos)
         << result->explain;
@@ -807,11 +821,13 @@ TEST(PlannerDifferentialTest, SessionDopViaSqlSetIsHonored) {
                                  /*materialize=*/true);
   ASSERT_TRUE(db_or.ok());
   std::unique_ptr<Database> db = std::move(*db_or);
+  auto session_or = db->Connect();
+  ASSERT_TRUE(session_or.ok());
+  std::unique_ptr<Session> session = std::move(*session_or);
 
-  auto set4 = db->Sql("SET degree_of_parallelism = 4");
+  auto set4 = session->Sql("SET degree_of_parallelism = 4");
   ASSERT_TRUE(set4.ok());
-  EXPECT_EQ(db->degree_of_parallelism(), 4);
-  ASSERT_NE(db->thread_pool(), nullptr);
+  EXPECT_EQ(session->options().degree_of_parallelism, 4);
 
   NameGenOptions gen;
   gen.seed = 42;
@@ -825,13 +841,15 @@ TEST(PlannerDifferentialTest, SessionDopViaSqlSetIsHonored) {
                               .Build();
   PlannerHints hints;
   hints.enable_mtree = false;  // hints.degree_of_parallelism stays -1
-  auto par = db->Query(plan, hints);
+  auto par = session->Query(plan, hints);
   ASSERT_TRUE(par.ok());
-  EXPECT_NE(par->explain.find("dop=4"), std::string::npos) << par->explain;
+  // The planner only plans dop= with a session worker pool, so this also
+  // shows that SET provisioned one.
+  ASSERT_NE(par->explain.find("dop=4"), std::string::npos) << par->explain;
 
-  auto set1 = db->Sql("SET degree_of_parallelism = 1");
+  auto set1 = session->Sql("SET degree_of_parallelism = 1");
   ASSERT_TRUE(set1.ok());
-  auto serial = db->Query(plan, hints);
+  auto serial = session->Query(plan, hints);
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(serial->explain.find("dop="), std::string::npos)
       << serial->explain;

@@ -1,9 +1,9 @@
 // The Session/Database API split: Database::Connect() mints sessions with
 // independent settings over one shared engine core; the single
-// SessionState::Set path validates and clamps every knob (SQL SET and the
-// C++ API identically); the deprecated single-session Database shims keep
-// working; results carry session attribution; and the shared plan cache
-// serves repeated (prepared) statements with DDL/ANALYZE invalidation.
+// Session::Set path validates and clamps every knob (SQL SET and the C++
+// API identically); results carry session attribution; and the shared plan
+// cache serves repeated (prepared) statements with DDL/ANALYZE
+// invalidation.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "common/metrics.h"
 #include "engine/database.h"
 #include "mural/algebra.h"
+#include "optimizer/stats.h"
 #include "session/session.h"
 
 namespace mural {
@@ -36,15 +37,16 @@ StatusOr<std::unique_ptr<Database>> MakeBookDatabase(
     DatabaseOptions options = DatabaseOptions()) {
   MURAL_ASSIGN_OR_RETURN(std::unique_ptr<Database> db,
                          Database::Open(options));
-  MURAL_RETURN_IF_ERROR(db->Sql("CREATE TABLE Book (BookID INT, "
-                                "Author UNITEXT MATERIALIZE PHONEMES)")
+  MURAL_ASSIGN_OR_RETURN(std::unique_ptr<Session> setup, db->Connect());
+  MURAL_RETURN_IF_ERROR(setup->Sql("CREATE TABLE Book (BookID INT, "
+                                   "Author UNITEXT MATERIALIZE PHONEMES)")
                             .status());
   const char* rows[] = {"Nehru", "Neru", "Nero", "Gandhi"};
   int id = 1;
   for (const char* author : rows) {
     MURAL_RETURN_IF_ERROR(
-        db->Sql("INSERT INTO Book VALUES (" + std::to_string(id++) +
-                ", '" + author + "'@English)")
+        setup->Sql("INSERT INTO Book VALUES (" + std::to_string(id++) +
+                   ", '" + author + "'@English)")
             .status());
   }
   return db;
@@ -62,7 +64,8 @@ TEST(SessionTest, ConnectMintsDistinctSessions) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_NE((*a)->id(), (*b)->id());
-  EXPECT_NE((*a)->id(), 0u);  // id 0 is the built-in legacy session
+  EXPECT_GE((*a)->id(), 1u);  // session ids start at 1
+  EXPECT_GE((*b)->id(), 1u);
   EXPECT_EQ(active->value(), active_before + 2);
 
   a->reset();
@@ -82,8 +85,8 @@ TEST(SessionTest, SessionsHaveIndependentSettings) {
   ASSERT_TRUE((*loose)->Set("lexequal_threshold", 3).ok());
   EXPECT_EQ((*strict)->options().lexequal_threshold, 0);
   EXPECT_EQ((*loose)->options().lexequal_threshold, 3);
-  // The legacy default session is untouched by either.
-  EXPECT_EQ((*db)->lexequal_threshold(), 2);
+  // The Database defaults new sessions start from are untouched by either.
+  EXPECT_EQ((*db)->session_defaults().lexequal_threshold, 2);
 
   const std::string query =
       "SELECT Author FROM Book WHERE Author LexEQUAL 'Nehru'";
@@ -139,29 +142,23 @@ TEST(SessionTest, SetValidatesAndClampsInOnePlace) {
   // Case-insensitive, like SQL SET always was.
   ASSERT_TRUE((*session)->Set("LEXEQUAL_THRESHOLD", 1).ok());
   EXPECT_EQ((*session)->options().lexequal_threshold, 1);
-}
+  // The session's execution context follows every Set.
+  EXPECT_EQ((*session)->exec_context()->lexequal_threshold, 1);
+  EXPECT_EQ((*session)->exec_context()->batch_size, 65536u);
 
-TEST(SessionTest, DeprecatedDatabaseShimsStillWork) {
-  auto db = MakeBookDatabase();
-  ASSERT_TRUE(db.ok());
+  // Raising the DOP provisions the session worker pool.
+  ASSERT_TRUE((*session)->Set("degree_of_parallelism", 4).ok());
+  EXPECT_EQ((*session)->options().degree_of_parallelism, 4);
+  EXPECT_EQ((*session)->exec_context()->degree_of_parallelism, 4);
+  EXPECT_NE((*session)->exec_context()->thread_pool, nullptr);
 
-  // The pre-split single-session surface, end to end.
-  (*db)->SetLexequalThreshold(1);
-  EXPECT_EQ((*db)->lexequal_threshold(), 1);
-  (*db)->SetBatchSize(-5);
-  EXPECT_EQ((*db)->batch_size(), 0u);
-  (*db)->SetSlowQueryMillis(0);
-  EXPECT_EQ((*db)->slow_query_millis(), 0);
-  (*db)->SetDegreeOfParallelism(4);
-  EXPECT_EQ((*db)->degree_of_parallelism(), 4);
-  ASSERT_NE((*db)->thread_pool(), nullptr);
-  ASSERT_NE((*db)->exec_context(), nullptr);
-  EXPECT_EQ((*db)->exec_context()->lexequal_threshold, 1);
-
-  auto result = (*db)->Sql("SELECT Author FROM Book");
+  // Queries still run under the clamped settings, attributed to the
+  // session.
+  ASSERT_TRUE((*session)->Set("degree_of_parallelism", 1).ok());
+  auto result = (*session)->Sql("SELECT Author FROM Book");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rows.size(), 4u);
-  EXPECT_EQ(result->session_id, 0u);  // the built-in legacy session
+  EXPECT_EQ(result->session_id, (*session)->id());
 }
 
 TEST(SessionTest, ExplainAnalyzeAttributesSession) {
@@ -275,8 +272,7 @@ TEST(SessionTest, PlanCacheHitsOnRepeatAndInvalidatesOnDdl) {
 
   // DDL sweeps the cache; the next run re-binds.
   const uint64_t invalidations0 = PlanCacheInvalidations()->value();
-  ASSERT_TRUE(
-      (*db)->Sql("CREATE TABLE Other (X INT)").ok());
+  ASSERT_TRUE((*twin)->Sql("CREATE TABLE Other (X INT)").ok());
   EXPECT_EQ(PlanCacheInvalidations()->value(), invalidations0 + 1);
   EXPECT_EQ((*db)->plan_cache()->size(), 0u);
   auto after_ddl = (*session)->Execute("probe");
@@ -322,6 +318,83 @@ TEST(SessionTest, QueryViaLogicalPlanCarriesSessionId) {
   EXPECT_GE(result->queue_wait_ms, 0.0);
   auto physical = (*session)->PlanQuery(plan);
   ASSERT_TRUE(physical.ok());
+}
+
+/// Loads People(id, mat UNITEXT MATERIALIZE PHONEMES, plain UNITEXT) with
+/// repeated names, so both UniText columns get MFVs and phoneme strings.
+StatusOr<std::unique_ptr<Database>> MakePeopleDatabase() {
+  MURAL_ASSIGN_OR_RETURN(std::unique_ptr<Database> db, Database::Open());
+  MURAL_ASSIGN_OR_RETURN(std::unique_ptr<Session> setup, db->Connect());
+  MURAL_RETURN_IF_ERROR(
+      setup->Sql("CREATE TABLE People (id INT, "
+                 "mat UNITEXT MATERIALIZE PHONEMES, plain UNITEXT)")
+          .status());
+  const char* names[] = {"Nehru", "Neru",   "Nehru", "Gandhi",
+                         "Nehru", "Gandhi", "Smith", "Smyth"};
+  int id = 1;
+  for (const char* name : names) {
+    MURAL_RETURN_IF_ERROR(
+        setup->Sql("INSERT INTO People VALUES (" + std::to_string(id++) +
+                   ", '" + name + "'@English, '" + name + "'@English)")
+            .status());
+  }
+  return db;
+}
+
+void ExpectSameColumnStats(const ColumnStats& a, const ColumnStats& b) {
+  EXPECT_EQ(a.non_null, b.non_null);
+  EXPECT_EQ(a.ndv, b.ndv);
+  EXPECT_DOUBLE_EQ(a.avg_len, b.avg_len);
+  EXPECT_DOUBLE_EQ(a.avg_phoneme_len, b.avg_phoneme_len);
+  ASSERT_EQ(a.mfvs.size(), b.mfvs.size());
+  for (size_t i = 0; i < a.mfvs.size(); ++i) {
+    EXPECT_TRUE(a.mfvs[i].first.Equals(b.mfvs[i].first)) << i;
+    EXPECT_EQ(a.mfvs[i].second, b.mfvs[i].second) << i;
+  }
+  EXPECT_EQ(a.mfv_phonemes, b.mfv_phonemes);
+  ASSERT_EQ(a.bounds.size(), b.bounds.size());
+  for (size_t i = 0; i < a.bounds.size(); ++i) {
+    EXPECT_TRUE(a.bounds[i].Equals(b.bounds[i])) << i;
+  }
+}
+
+// Database::Analyze runs on a private ExecContext while SQL ANALYZE runs on
+// the calling session's; both must publish the same statistics.
+TEST(SessionTest, DatabaseAnalyzeMatchesSqlAnalyze) {
+  auto api_db = MakePeopleDatabase();
+  ASSERT_TRUE(api_db.ok()) << api_db.status().ToString();
+  auto sql_db = MakePeopleDatabase();
+  ASSERT_TRUE(sql_db.ok()) << sql_db.status().ToString();
+
+  ASSERT_TRUE((*api_db)->Analyze("People").ok());
+  auto session = (*sql_db)->Connect();
+  ASSERT_TRUE(session.ok());
+  const ExecStats before = (*session)->exec_context()->stats;
+  ASSERT_TRUE((*session)->Sql("ANALYZE People").ok());
+  // SQL ANALYZE charged the non-materialized column's G2P to the session.
+  const ExecStats& after = (*session)->exec_context()->stats;
+  EXPECT_GT(after.phoneme_transforms + after.phoneme_cache_hits,
+            before.phoneme_transforms + before.phoneme_cache_hits);
+
+  const auto api = (*api_db)->stats_catalog()->Get("People");
+  const auto sql = (*sql_db)->stats_catalog()->Get("People");
+  ASSERT_NE(api, nullptr);
+  ASSERT_NE(sql, nullptr);
+  EXPECT_EQ(api->num_rows, sql->num_rows);
+  EXPECT_EQ(api->num_pages, sql->num_pages);
+  EXPECT_DOUBLE_EQ(api->avg_row_len, sql->avg_row_len);
+  for (const char* column : {"mat", "plain"}) {
+    SCOPED_TRACE(column);
+    const ColumnStats* a = api->Column(column);
+    const ColumnStats* b = sql->Column(column);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    // Non-vacuous: both columns carry MFVs with phoneme strings.
+    ASSERT_FALSE(a->mfvs.empty());
+    ASSERT_FALSE(a->mfv_phonemes.empty());
+    EXPECT_FALSE(a->mfv_phonemes.front().empty());
+    ExpectSameColumnStats(*a, *b);
+  }
 }
 
 }  // namespace

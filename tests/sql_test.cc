@@ -1,11 +1,12 @@
 // Tests for the SQL front end: parsing, binding, and end-to-end execution
-// of the paper's query surface through the Database facade.
+// of the paper's query surface through a Session.
 
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "engine/database.h"
+#include "session/session.h"
 #include "sql/sql.h"
 
 namespace mural {
@@ -17,10 +18,13 @@ class SqlTest : public ::testing::Test {
     auto db = Database::Open();
     ASSERT_TRUE(db.ok());
     db_ = std::move(*db);
+    auto session = db_->Connect();
+    ASSERT_TRUE(session.ok());
+    session_ = std::move(*session);
     // The paper's Book table (Fig. 1), abbreviated.
-    ASSERT_TRUE(db_->Sql("CREATE TABLE Book (BookID INT, "
-                         "Author UNITEXT MATERIALIZE PHONEMES, "
-                         "Title UNITEXT, Category UNITEXT)")
+    ASSERT_TRUE(session_->Sql("CREATE TABLE Book (BookID INT, "
+                              "Author UNITEXT MATERIALIZE PHONEMES, "
+                              "Title UNITEXT, Category UNITEXT)")
                     .ok());
     const char* rows[] = {
         "INSERT INTO Book VALUES (1, 'nehru'@English, "
@@ -35,7 +39,7 @@ class SqlTest : public ::testing::Test {
         "'wealth of nations'@English, 'Economics'@English)",
     };
     for (const char* stmt : rows) {
-      ASSERT_TRUE(db_->Sql(stmt).ok()) << stmt;
+      ASSERT_TRUE(session_->Sql(stmt).ok()) << stmt;
     }
   }
 
@@ -55,25 +59,26 @@ class SqlTest : public ::testing::Test {
   }
 
   std::unique_ptr<Database> db_;
+  std::unique_ptr<Session> session_;
 };
 
 TEST_F(SqlTest, ParseErrorsAreClean) {
-  EXPECT_FALSE(db_->Sql("SELEKT * FROM Book").ok());
-  EXPECT_FALSE(db_->Sql("SELECT FROM Book").ok());
-  EXPECT_FALSE(db_->Sql("SELECT * FROM NoSuchTable").ok());
-  EXPECT_FALSE(db_->Sql("SELECT nope FROM Book").ok());
-  EXPECT_FALSE(db_->Sql("SELECT * FROM Book WHERE Author LexEQUAL "
-                        "'x'@Klingonese")
+  EXPECT_FALSE(session_->Sql("SELEKT * FROM Book").ok());
+  EXPECT_FALSE(session_->Sql("SELECT FROM Book").ok());
+  EXPECT_FALSE(session_->Sql("SELECT * FROM NoSuchTable").ok());
+  EXPECT_FALSE(session_->Sql("SELECT nope FROM Book").ok());
+  EXPECT_FALSE(session_->Sql("SELECT * FROM Book WHERE Author LexEQUAL "
+                             "'x'@Klingonese")
                    .ok());
 }
 
 TEST_F(SqlTest, SelectStarAndProjection) {
-  auto all = db_->Sql("SELECT * FROM Book");
+  auto all = session_->Sql("SELECT * FROM Book");
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->rows.size(), 5u);
   EXPECT_EQ(all->schema.NumColumns(), 4u);
 
-  auto proj = db_->Sql("SELECT Title, BookID FROM Book WHERE BookID >= 4");
+  auto proj = session_->Sql("SELECT Title, BookID FROM Book WHERE BookID >= 4");
   ASSERT_TRUE(proj.ok());
   EXPECT_EQ(proj->rows.size(), 2u);
   EXPECT_EQ(proj->schema.NumColumns(), 2u);
@@ -81,8 +86,8 @@ TEST_F(SqlTest, SelectStarAndProjection) {
 }
 
 TEST_F(SqlTest, PaperFigure2LexEqualQuery) {
-  ASSERT_TRUE(db_->Sql("SET LEXEQUAL_THRESHOLD = 2").ok());
-  auto result = db_->Sql(
+  ASSERT_TRUE(session_->Sql("SET LEXEQUAL_THRESHOLD = 2").ok());
+  auto result = session_->Sql(
       "SELECT Author, Title FROM Book "
       "WHERE Author LexEQUAL 'nehru'@English IN English, Hindi, Tamil");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -93,8 +98,8 @@ TEST_F(SqlTest, PaperFigure2LexEqualQuery) {
 }
 
 TEST_F(SqlTest, LexEqualRespectsLanguageList) {
-  ASSERT_TRUE(db_->Sql("SET LEXEQUAL_THRESHOLD = 2").ok());
-  auto result = db_->Sql(
+  ASSERT_TRUE(session_->Sql("SET LEXEQUAL_THRESHOLD = 2").ok());
+  auto result = session_->Sql(
       "SELECT Author FROM Book "
       "WHERE Author LexEQUAL 'nehru'@English IN Tamil");
   ASSERT_TRUE(result.ok());
@@ -103,15 +108,15 @@ TEST_F(SqlTest, LexEqualRespectsLanguageList) {
 }
 
 TEST_F(SqlTest, LexEqualExplicitThreshold) {
-  ASSERT_TRUE(db_->Sql("SET LEXEQUAL_THRESHOLD = 0").ok());
+  ASSERT_TRUE(session_->Sql("SET LEXEQUAL_THRESHOLD = 0").ok());
   // Session threshold 0 finds the *perfect* homophones: English 'nehru'
   // and Hindi 'nehrU' share the phoneme string /nehru/ exactly.
-  auto strict = db_->Sql(
+  auto strict = session_->Sql(
       "SELECT Author FROM Book WHERE Author LexEQUAL 'nehru'@English");
   ASSERT_TRUE(strict.ok());
   EXPECT_EQ(strict->rows.size(), 2u);
   // ...but an explicit THRESHOLD overrides it.
-  auto loose = db_->Sql(
+  auto loose = session_->Sql(
       "SELECT Author FROM Book WHERE Author LexEQUAL 'nehru'@English "
       "THRESHOLD 2");
   ASSERT_TRUE(loose.ok());
@@ -120,7 +125,7 @@ TEST_F(SqlTest, LexEqualExplicitThreshold) {
 
 TEST_F(SqlTest, PaperFigure4SemEqualQuery) {
   LoadTaxonomy();
-  auto result = db_->Sql(
+  auto result = session_->Sql(
       "SELECT Author, Title, Category FROM Book "
       "WHERE Category SemEQUAL 'History'@English "
       "IN English, Hindi, Tamil");
@@ -134,20 +139,20 @@ TEST_F(SqlTest, PaperFigure4SemEqualQuery) {
 }
 
 TEST_F(SqlTest, CountStarAndGroupBy) {
-  auto count = db_->Sql("SELECT count(*) FROM Book");
+  auto count = session_->Sql("SELECT count(*) FROM Book");
   ASSERT_TRUE(count.ok());
   ASSERT_EQ(count->rows.size(), 1u);
   EXPECT_EQ(count->rows[0][0].int64(), 5);
 
   auto grouped =
-      db_->Sql("SELECT Category, count(*) FROM Book GROUP BY Category");
+      session_->Sql("SELECT Category, count(*) FROM Book GROUP BY Category");
   ASSERT_TRUE(grouped.ok());
   EXPECT_EQ(grouped->rows.size(), 5u);  // all categories distinct
 }
 
 TEST_F(SqlTest, OrderByAndLimit) {
   auto result =
-      db_->Sql("SELECT BookID FROM Book ORDER BY BookID DESC LIMIT 2");
+      session_->Sql("SELECT BookID FROM Book ORDER BY BookID DESC LIMIT 2");
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->rows.size(), 2u);
   EXPECT_EQ(result->rows[0][0].int32(), 5);
@@ -155,15 +160,16 @@ TEST_F(SqlTest, OrderByAndLimit) {
 }
 
 TEST_F(SqlTest, PsiJoinAcrossTables) {
-  ASSERT_TRUE(db_->Sql("CREATE TABLE Publisher (PublisherID INT, "
-                       "PName UNITEXT MATERIALIZE PHONEMES)")
+  ASSERT_TRUE(session_->Sql("CREATE TABLE Publisher (PublisherID INT, "
+                            "PName UNITEXT MATERIALIZE PHONEMES)")
                   .ok());
   ASSERT_TRUE(
-      db_->Sql("INSERT INTO Publisher VALUES (1, 'neroo'@English)").ok());
-  ASSERT_TRUE(
-      db_->Sql("INSERT INTO Publisher VALUES (2, 'penguin'@English)").ok());
-  ASSERT_TRUE(db_->Sql("SET LEXEQUAL_THRESHOLD = 2").ok());
-  auto result = db_->Sql(
+      session_->Sql("INSERT INTO Publisher VALUES (1, 'neroo'@English)").ok());
+  ASSERT_TRUE(session_->Sql("INSERT INTO Publisher VALUES "
+                            "(2, 'penguin'@English)")
+                  .ok());
+  ASSERT_TRUE(session_->Sql("SET LEXEQUAL_THRESHOLD = 2").ok());
+  auto result = session_->Sql(
       "SELECT count(*) FROM Book B, Publisher P "
       "WHERE B.Author LexEQUAL P.PName");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -175,10 +181,10 @@ TEST_F(SqlTest, PsiJoinAcrossTables) {
 
 TEST_F(SqlTest, EquiJoinWithAliases) {
   ASSERT_TRUE(
-      db_->Sql("CREATE TABLE Sales (BookID INT, Copies INT)").ok());
-  ASSERT_TRUE(db_->Sql("INSERT INTO Sales VALUES (1, 100)").ok());
-  ASSERT_TRUE(db_->Sql("INSERT INTO Sales VALUES (4, 50)").ok());
-  auto result = db_->Sql(
+      session_->Sql("CREATE TABLE Sales (BookID INT, Copies INT)").ok());
+  ASSERT_TRUE(session_->Sql("INSERT INTO Sales VALUES (1, 100)").ok());
+  ASSERT_TRUE(session_->Sql("INSERT INTO Sales VALUES (4, 50)").ok());
+  auto result = session_->Sql(
       "SELECT B.Title, S.Copies FROM Book B, Sales S "
       "WHERE B.BookID = S.BookID ORDER BY S.Copies");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -188,7 +194,7 @@ TEST_F(SqlTest, EquiJoinWithAliases) {
 }
 
 TEST_F(SqlTest, ExplainShowsPlan) {
-  auto result = db_->Sql("EXPLAIN SELECT * FROM Book WHERE BookID = 1");
+  auto result = session_->Sql("EXPLAIN SELECT * FROM Book WHERE BookID = 1");
   ASSERT_TRUE(result.ok());
   EXPECT_NE(result->explain.find("SeqScan(BOOK)"), std::string::npos);
   EXPECT_NE(result->explain.find("cost"), std::string::npos);
@@ -199,30 +205,30 @@ TEST_F(SqlTest, IndexDdlAndIndexedQuery) {
   // Pad the table so the metric index actually wins the cost race (at 5
   // rows a sequential scan is rightly cheaper).
   for (int i = 100; i < 400; ++i) {
-    ASSERT_TRUE(db_->Sql("INSERT INTO Book VALUES (" + std::to_string(i) +
-                         ", 'filler" + std::to_string(i) +
-                         "'@English, 'x'@English, 'Misc'@English)")
+    ASSERT_TRUE(session_->Sql("INSERT INTO Book VALUES (" + std::to_string(i) +
+                              ", 'filler" + std::to_string(i) +
+                              "'@English, 'x'@English, 'Misc'@English)")
                     .ok());
   }
-  ASSERT_TRUE(db_->Sql("ANALYZE Book").ok());
-  ASSERT_TRUE(
-      db_->Sql("CREATE INDEX book_author_mtree ON Book(Author) USING MTREE")
-          .ok());
-  ASSERT_TRUE(db_->Sql("SET LEXEQUAL_THRESHOLD = 1").ok());
-  auto explain = db_->Sql(
+  ASSERT_TRUE(session_->Sql("ANALYZE Book").ok());
+  ASSERT_TRUE(session_->Sql("CREATE INDEX book_author_mtree ON Book(Author) "
+                            "USING MTREE")
+                  .ok());
+  ASSERT_TRUE(session_->Sql("SET LEXEQUAL_THRESHOLD = 1").ok());
+  auto explain = session_->Sql(
       "EXPLAIN SELECT Author FROM Book "
       "WHERE Author LexEQUAL 'nehru'@English");
   ASSERT_TRUE(explain.ok());
   EXPECT_NE(explain->explain.find("mtreeIndexScan"), std::string::npos)
       << explain->explain;
-  auto result = db_->Sql(
+  auto result = session_->Sql(
       "SELECT Author FROM Book WHERE Author LexEQUAL 'nehru'@English");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rows.size(), 3u);
 }
 
 TEST_F(SqlTest, SetRejectsUnknownSetting) {
-  EXPECT_FALSE(db_->Sql("SET nonsense = 3").ok());
+  EXPECT_FALSE(session_->Sql("SET nonsense = 3").ok());
 }
 
 TEST_F(SqlTest, PrepareParsesNameAndVerbatimBody) {
@@ -271,10 +277,10 @@ TEST_F(SqlTest, EveryStatementCarriesItsText) {
 }
 
 TEST_F(SqlTest, InsertCoercesPlainTextIntoUniText) {
-  ASSERT_TRUE(db_->Sql("INSERT INTO Book VALUES (6, 'orwell', "
-                       "'nineteen eighty-four', 'Fiction')")
+  ASSERT_TRUE(session_->Sql("INSERT INTO Book VALUES (6, 'orwell', "
+                            "'nineteen eighty-four', 'Fiction')")
                   .ok());
-  auto result = db_->Sql("SELECT Author FROM Book WHERE BookID = 6");
+  auto result = session_->Sql("SELECT Author FROM Book WHERE BookID = 6");
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->rows.size(), 1u);
   EXPECT_EQ(result->rows[0][0].unitext().lang(), lang::kEnglish);

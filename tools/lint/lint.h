@@ -17,7 +17,12 @@
 //   own-header-first    a .cc that includes its own header must include it
 //                       before any other #include.
 //   discarded-status    a Status constructed as a bare expression statement
-//                       is dead code that looks like error handling.
+//                       is dead code that looks like error handling.  Not
+//                       redundant with [[nodiscard]] + -Werror=unused-result:
+//                       GCC 12 flags a discarded factory call
+//                       (`Status::Internal(msg);`) but not a discarded
+//                       `Status(code, msg);` temporary, which only this
+//                       rule catches.
 //   no-bare-thread      std::thread / std::jthread / std::async outside
 //                       common/ (and tools/): all engine concurrency goes
 //                       through common/thread_pool.h so parallelism stays

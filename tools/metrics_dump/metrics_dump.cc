@@ -15,6 +15,7 @@
 
 #include "common/metrics.h"
 #include "engine/database.h"
+#include "session/session.h"
 
 using namespace mural;
 
@@ -22,12 +23,13 @@ namespace {
 
 Status RunWorkload() {
   MURAL_ASSIGN_OR_RETURN(std::unique_ptr<Database> db, Database::Open());
+  MURAL_ASSIGN_OR_RETURN(std::unique_ptr<Session> session, db->Connect());
   MURAL_RETURN_IF_ERROR(
-      db->Sql("CREATE TABLE Book ("
-              "  BookID   INT,"
-              "  Author   UNITEXT MATERIALIZE PHONEMES,"
-              "  Title    UNITEXT,"
-              "  Category UNITEXT)")
+      session->Sql("CREATE TABLE Book ("
+                   "  BookID   INT,"
+                   "  Author   UNITEXT MATERIALIZE PHONEMES,"
+                   "  Title    UNITEXT,"
+                   "  Category UNITEXT)")
           .status());
 
   const char* inserts[] = {
@@ -45,12 +47,12 @@ Status RunWorkload() {
       " 'Empire Falls'@English, 'Fiction'@English)",
   };
   for (const char* stmt : inserts) {
-    MURAL_RETURN_IF_ERROR(db->Sql(stmt).status());
+    MURAL_RETURN_IF_ERROR(session->Sql(stmt).status());
   }
-  MURAL_RETURN_IF_ERROR(db->Sql("CREATE INDEX idx_book_id ON Book(BookID) "
-                                "USING BTREE")
+  MURAL_RETURN_IF_ERROR(session->Sql("CREATE INDEX idx_book_id ON Book(BookID) "
+                                     "USING BTREE")
                             .status());
-  MURAL_RETURN_IF_ERROR(db->Sql("ANALYZE Book").status());
+  MURAL_RETURN_IF_ERROR(session->Sql("ANALYZE Book").status());
 
   // Taxonomy for the SemEQUAL (closure cache) path.
   auto taxonomy = std::make_unique<Taxonomy>();
@@ -63,20 +65,20 @@ Status RunWorkload() {
 
   // Exercise the instrumented paths: Psi scan (phoneme cache + morsels),
   // B+Tree probe, Omega closure, and a slow-query-eligible EXPLAIN ANALYZE.
-  MURAL_RETURN_IF_ERROR(db->Sql("SET DEGREE_OF_PARALLELISM = 4").status());
+  MURAL_RETURN_IF_ERROR(session->Sql("SET DEGREE_OF_PARALLELISM = 4").status());
   MURAL_RETURN_IF_ERROR(
-      db->Sql("SELECT Author, Title FROM Book "
-              "WHERE Author LexEQUAL 'nehru'@English THRESHOLD 2")
+      session->Sql("SELECT Author, Title FROM Book "
+                   "WHERE Author LexEQUAL 'nehru'@English THRESHOLD 2")
           .status());
   MURAL_RETURN_IF_ERROR(
-      db->Sql("SELECT Title FROM Book WHERE BookID = 2").status());
+      session->Sql("SELECT Title FROM Book WHERE BookID = 2").status());
   MURAL_RETURN_IF_ERROR(
-      db->Sql("SELECT Author, Category FROM Book "
-              "WHERE Category SemEQUAL 'History'@English")
+      session->Sql("SELECT Author, Category FROM Book "
+                   "WHERE Category SemEQUAL 'History'@English")
           .status());
   MURAL_RETURN_IF_ERROR(
-      db->Sql("EXPLAIN ANALYZE SELECT Author FROM Book "
-              "WHERE Author LexEQUAL 'nehru'@English THRESHOLD 2")
+      session->Sql("EXPLAIN ANALYZE SELECT Author FROM Book "
+                   "WHERE Author LexEQUAL 'nehru'@English THRESHOLD 2")
           .status());
   return Status::OK();
 }
