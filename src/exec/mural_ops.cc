@@ -292,10 +292,12 @@ std::string LexJoinOp::DisplayName() const {
       options_.threshold >= 0 ? options_.threshold
                               : ctx_->lexequal_threshold,
       options_.tag_distance ? ", tagged" : "");
-  if (options_.dop > 1) {
-    // Cache counters go live after Open; EXPLAIN ANALYZE re-renders this
-    // name so they show up like the closure-cache stats do.
-    name += StringFormat(", dop=%d, cache h=%llu m=%llu", options_.dop,
+  if (options_.dop > 1) name += StringFormat(", dop=%d", options_.dop);
+  // Cache counters exist only once Open has run, at every DOP; EXPLAIN
+  // ANALYZE re-renders this name so they show up like the closure-cache
+  // stats do, and a plain EXPLAIN shows none.
+  if (cache_hits_ + cache_misses_ > 0) {
+    name += StringFormat(", cache h=%llu m=%llu",
                          static_cast<unsigned long long>(cache_hits_),
                          static_cast<unsigned long long>(cache_misses_));
   }

@@ -325,7 +325,6 @@ TEST(LintAdversarialTest, MalformedCppDegradesWithoutCrashing) {
     const std::vector<lint::Cfg> cfgs = lint::BuildCfgs(lexed, syms);
     for (const lint::Cfg& cfg : cfgs) {
       // Whatever graph came out must be internally consistent.
-      ASSERT_EQ(cfg.reachable.size(), cfg.blocks.size());
       for (const lint::CfgBlock& b : cfg.blocks) {
         for (const int succ : b.succs) {
           ASSERT_GE(succ, 0);

@@ -1,8 +1,8 @@
 // MUST NOT COMPILE under -Werror=unused-result (the repository's build
 // flags).  Status is [[nodiscard]], so calling a Status factory and
 // dropping the result is a compile error rather than silently discarded
-// error handling; the negative_compile_discarded_status ctest (WILL_FAIL)
-// asserts the compiler rejects this file.
+// error handling; the negative_compile_discarded_status ctest passes
+// only on the unused-result diagnostic.
 //
 // The factory-call form is the one the compiler catches.  A bare
 // `Status(code, msg);` temporary is NOT flagged by GCC 12, which is why

@@ -1,10 +1,10 @@
 // MUST NOT COMPILE under -Wthread-safety -Werror=thread-safety (the `tsa`
 // preset).  This file seeds the exact defect the annotation layer exists to
 // reject — touching a GUARDED_BY field without holding its mutex — and the
-// negative_compile_thread_safety ctest (WILL_FAIL) asserts Clang refuses
-// it.  If this file ever compiles under the tsa toolchain, the annotations
-// have been silently disabled and the whole compile-time lock discipline is
-// void.
+// negative_compile_thread_safety ctest passes only on Clang's
+// thread-safety diagnostic.  If this file ever compiles under the tsa
+// toolchain, the annotations have been silently disabled and the whole
+// compile-time lock discipline is void.
 //
 // It is deliberately NOT part of any CMake target's sources; the test
 // invokes the compiler on it directly with -fsyntax-only.

@@ -3,8 +3,8 @@
 // the frame's exclusive latch, which only WritePageGuard (via
 // FetchForWrite, NewPage, or ReadPageGuard::Upgrade) holds.  This file
 // calls MarkDirty on a read guard; the negative_compile_read_guard ctest
-// (WILL_FAIL) asserts the compiler rejects it.  If it ever compiles, the
-// read/write split of the guard API has been broken.
+// passes only on the compiler's "no member named MarkDirty" error.  If it
+// ever compiles, the read/write split of the guard API has been broken.
 //
 // It is deliberately NOT part of any CMake target's sources; the test
 // invokes the compiler on it directly with -fsyntax-only.

@@ -1,9 +1,8 @@
 // MUST NOT COMPILE under -Werror=return-type (the repository's build
 // flags).  A Status function that can reach its closing brace returns
-// garbage; the compiler's return-type check makes that an error, which is
-// what mural_lint's all-paths-return rule also reports.  The
-// negative_compile_status_fallthrough ctest (WILL_FAIL) asserts the
-// compiler rejects this file.
+// garbage; the compiler's return-type check makes that an error, so no
+// lint rule has to look for it.  The negative_compile_status_fallthrough
+// ctest passes only on the return-type diagnostic.
 //
 // It is deliberately NOT part of any CMake target's sources.  GCC only
 // diagnoses a missing return during code generation, so the test compiles

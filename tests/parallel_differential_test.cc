@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
@@ -62,6 +63,19 @@ std::vector<std::string> RenderAll(const std::vector<Row>& rows) {
 std::vector<std::string> Sorted(std::vector<std::string> v) {
   std::sort(v.begin(), v.end());
   return v;
+}
+
+// Sum of the `cache h=H m=M` counts a plan tree renders; 0 when no node
+// renders them.
+uint64_t RenderedCacheLookups(const std::string& tree) {
+  const size_t at = tree.find("cache h=");
+  if (at == std::string::npos) return 0;
+  unsigned long long hits = 0, misses = 0;
+  if (std::sscanf(tree.c_str() + at, "cache h=%llu m=%llu", &hits,
+                  &misses) != 2) {
+    return 0;
+  }
+  return hits + misses;
 }
 
 // Seeded names as rows; `materialize` controls whether phoneme strings
@@ -631,59 +645,78 @@ TEST(PlannerDifferentialTest, ScanSweepProducesIdenticalResults) {
 }
 
 TEST(PlannerDifferentialTest, JoinSweepProducesIdenticalResults) {
-  for (const uint64_t seed : kSeeds) {
-    auto db_or = MakeNamesDatabase(/*bases=*/120, /*variants=*/3, seed,
-                                   /*materialize=*/true);
-    ASSERT_TRUE(db_or.ok());
-    std::unique_ptr<Database> db = std::move(*db_or);
-    auto session_or = db->Connect();
-    ASSERT_TRUE(session_or.ok());
-    std::unique_ptr<Session> session = std::move(*session_or);
-    ASSERT_TRUE(session->Set("degree_of_parallelism", 8).ok());
+  // Unmaterialized names make the join run G2P through the phoneme cache,
+  // so its EXPLAIN ANALYZE node has cache counts to show.
+  for (const bool materialize : {true, false}) {
+    for (const uint64_t seed : kSeeds) {
+      auto db_or = MakeNamesDatabase(/*bases=*/120, /*variants=*/3, seed,
+                                     materialize);
+      ASSERT_TRUE(db_or.ok());
+      std::unique_ptr<Database> db = std::move(*db_or);
+      auto session_or = db->Connect();
+      ASSERT_TRUE(session_or.ok());
+      std::unique_ptr<Session> session = std::move(*session_or);
+      ASSERT_TRUE(session->Set("degree_of_parallelism", 8).ok());
 
-    // Second table for the join.
-    const Schema schema({{"id", TypeId::kInt32},
-                         {"name", TypeId::kUniText, /*mat=*/true}});
-    ASSERT_TRUE(db->CreateTable("others", schema).ok());
-    // Same seed as "names" so the two tables share bases: variants of a
-    // shared base join within the threshold.
-    NameGenOptions gen;
-    gen.seed = seed;
-    gen.num_bases = 120;
-    gen.variants_per_base = 3;
-    const std::vector<NameRecord> all = GenerateNames(gen);
-    for (size_t i = 0; i < (all.size() * 3) / 4; ++i) {
-      const NameRecord& rec = all[i];
-      ASSERT_TRUE(
-          db->Insert("others", {Value::Int32(static_cast<int32_t>(rec.id)),
-                                Value::Uni(rec.name)})
-              .ok());
-    }
-    ASSERT_TRUE(db->Analyze("others").ok());
+      // Second table for the join.
+      const Schema schema({{"id", TypeId::kInt32},
+                           {"name", TypeId::kUniText, materialize}});
+      ASSERT_TRUE(db->CreateTable("others", schema).ok());
+      // Same seed as "names" so the two tables share bases: variants of a
+      // shared base join within the threshold.
+      NameGenOptions gen;
+      gen.seed = seed;
+      gen.num_bases = 120;
+      gen.variants_per_base = 3;
+      const std::vector<NameRecord> all = GenerateNames(gen);
+      for (size_t i = 0; i < (all.size() * 3) / 4; ++i) {
+        const NameRecord& rec = all[i];
+        ASSERT_TRUE(
+            db->Insert("others", {Value::Int32(static_cast<int32_t>(rec.id)),
+                                  Value::Uni(rec.name)})
+                .ok());
+      }
+      ASSERT_TRUE(db->Analyze("others").ok());
 
-    const LogicalPtr plan =
-        MuralBuilder::Scan("names", schema)
-            .PsiJoin(MuralBuilder::Scan("others", schema), "name", "name", 2)
-            .Build();
+      const LogicalPtr plan =
+          MuralBuilder::Scan("names", schema)
+              .PsiJoin(MuralBuilder::Scan("others", schema), "name", "name",
+                       2)
+              .Build();
 
-    std::vector<std::string> reference;
-    for (const int dop : kDops) {
-      PlannerHints hints;
-      hints.enable_mtree = false;
-      hints.degree_of_parallelism = dop;
-      auto result = session->Query(plan, hints);
-      ASSERT_TRUE(result.ok()) << "seed=" << seed << " dop=" << dop;
-      if (dop == 1) {
-        EXPECT_EQ(result->explain.find("dop="), std::string::npos)
-            << result->explain;
-        reference = Sorted(RenderAll(result->rows));
-        ASSERT_FALSE(reference.empty());
-      } else {
-        EXPECT_NE(result->explain.find("dop=" + std::to_string(dop)),
-                  std::string::npos)
-            << "seed=" << seed << " dop=" << dop << "\n" << result->explain;
-        EXPECT_EQ(Sorted(RenderAll(result->rows)), reference)
-            << "seed=" << seed << " dop=" << dop;
+      std::vector<std::string> reference;
+      for (const int dop : kDops) {
+        PlannerHints hints;
+        hints.enable_mtree = false;
+        hints.degree_of_parallelism = dop;
+        // A plan that has not run shows no cache counts at any DOP.
+        auto unrun = session->PlanQuery(plan, hints);
+        ASSERT_TRUE(unrun.ok());
+        EXPECT_EQ(unrun->Explain().find("cache h="), std::string::npos)
+            << "dop=" << dop << "\n" << unrun->Explain();
+        auto result = session->Query(plan, hints);
+        ASSERT_TRUE(result.ok()) << "seed=" << seed << " dop=" << dop;
+        // The join is the plan's only Psi operator, so the counts its
+        // EXPLAIN ANALYZE node shows are every lookup the query made.
+        const uint64_t lookups = result->exec_stats.phoneme_cache_hits +
+                                 result->exec_stats.phoneme_cache_misses;
+        EXPECT_EQ(lookups > 0, !materialize);
+        EXPECT_EQ(RenderedCacheLookups(result->explain_analyze), lookups)
+            << "seed=" << seed << " dop=" << dop << "\n"
+            << result->explain_analyze;
+        if (dop == 1) {
+          EXPECT_EQ(result->explain.find("dop="), std::string::npos)
+              << result->explain;
+          reference = Sorted(RenderAll(result->rows));
+          ASSERT_FALSE(reference.empty());
+        } else {
+          EXPECT_NE(result->explain.find("dop=" + std::to_string(dop)),
+                    std::string::npos)
+              << "seed=" << seed << " dop=" << dop << "\n"
+              << result->explain;
+          EXPECT_EQ(Sorted(RenderAll(result->rows)), reference)
+              << "seed=" << seed << " dop=" << dop;
+        }
       }
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <map>
 #include <set>
 #include <string_view>
 #include <utility>
@@ -76,11 +77,7 @@ class CfgBuilder {
     cur_ = cfg_->entry;
     ParseStmtList(body_open + 1, body_close, /*depth=*/1);
     EmitScopeExit(body_close, /*depth=*/0, /*exit_depth=*/1);
-    cfg_->fall_off = cur_;
     AddEdge(cur_, cfg_->exit);
-    cfg_->end_line = body_close < t_.size() ? t_[body_close].line
-                                            : (t_.empty() ? 0 : t_.back().line);
-    ComputeReachability();
   }
 
  private:
@@ -96,27 +93,20 @@ class CfgBuilder {
 
   void AddEdge(int from, int to) { cfg_->blocks[from].succs.push_back(to); }
 
-  int LineAt(size_t i) const {
-    if (t_.empty()) return 0;
-    return t_[std::min(i, t_.size() - 1)].line;
-  }
-
-  void EmitTo(int block, CfgStmt::Kind kind, size_t b, size_t e, int depth) {
+  void EmitTo(int block, size_t b, size_t e, int depth) {
     cfg_->blocks[block].stmts.push_back(
-        {kind, b, e, LineAt(b), depth, 0});
+        {CfgStmt::Kind::kPlain, b, e, depth, 0});
   }
 
-  void Emit(CfgStmt::Kind kind, size_t b, size_t e, int depth) {
-    EmitTo(cur_, kind, b, e, depth);
-  }
+  void Emit(size_t b, size_t e, int depth) { EmitTo(cur_, b, e, depth); }
 
   void EmitScopeExit(size_t at, int depth, int exit_depth) {
     cfg_->blocks[cur_].stmts.push_back(
-        {CfgStmt::Kind::kScopeExit, at, at, LineAt(at), depth, exit_depth});
+        {CfgStmt::Kind::kScopeExit, at, at, depth, exit_depth});
   }
 
   /// `while (true)` / `for (;;)`-style conditions get no exit edge, so an
-  /// infinite loop does not fabricate a fall-through path.
+  /// infinite loop does not fabricate a path past the loop.
   bool CondAlwaysTrue(size_t b, size_t e) const {
     if (b >= e) return true;  // empty for-condition
     if (e - b != 1) return false;
@@ -190,7 +180,7 @@ class CfgBuilder {
     if (tk.IsIdent("return") || tk.IsIdent("co_return") ||
         tk.IsIdent("throw") || IsTerminatorCall(t_, i, end)) {
       const size_t e = StmtEnd(t_, i, end);
-      Emit(CfgStmt::Kind::kReturn, i, e, depth);
+      Emit(i, e, depth);
       AddEdge(cur_, cfg_->exit);
       cur_ = NewBlock();
       return e;
@@ -199,7 +189,7 @@ class CfgBuilder {
     if (tk.IsIdent("MURAL_RETURN_IF_ERROR") ||
         tk.IsIdent("MURAL_ASSIGN_OR_RETURN")) {
       const size_t e = StmtEnd(t_, i, end);
-      Emit(CfgStmt::Kind::kMayReturn, i, e, depth);
+      Emit(i, e, depth);
       AddEdge(cur_, cfg_->exit);
       const int next = NewBlock();
       AddEdge(cur_, next);
@@ -211,7 +201,7 @@ class CfgBuilder {
   }
 
   size_t ParseIf(size_t i, size_t close, size_t end, int depth) {
-    Emit(CfgStmt::Kind::kCond, i, close + 1, depth);
+    Emit(i, close + 1, depth);
     const int head = cur_;
     const int then_b = NewBlock();
     AddEdge(head, then_b);
@@ -241,7 +231,7 @@ class CfgBuilder {
     const int head = NewBlock();
     AddEdge(cur_, head);
     cur_ = head;
-    Emit(CfgStmt::Kind::kCond, i, close + 1, depth);
+    Emit(i, close + 1, depth);
     const int body = NewBlock();
     const int exit_b = NewBlock();
     AddEdge(head, body);
@@ -274,7 +264,7 @@ class CfgBuilder {
         t_[j + 1].IsPunct("(")) {
       const size_t cp = MatchingParen(t_, j + 1);
       if (cp != kNpos && cp < end) {
-        Emit(CfgStmt::Kind::kCond, j, cp + 1, depth);
+        Emit(j, cp + 1, depth);
         AddEdge(cond_b, body);
         if (!CondAlwaysTrue(j + 2, cp)) AddEdge(cond_b, exit_b);
         j = cp + 1;
@@ -308,7 +298,7 @@ class CfgBuilder {
       const int head = NewBlock();
       AddEdge(cur_, head);
       cur_ = head;
-      Emit(CfgStmt::Kind::kCond, i, close + 1, depth + 1);
+      Emit(i, close + 1, depth + 1);
       const int body = NewBlock();
       exit_b = NewBlock();
       AddEdge(head, body);
@@ -323,12 +313,12 @@ class CfgBuilder {
     } else {
       const size_t s1 = semis[0];
       const size_t s2 = semis.size() > 1 ? semis[1] : close;
-      if (s1 > i + 2) Emit(CfgStmt::Kind::kPlain, i + 2, s1 + 1, depth + 1);
+      if (s1 > i + 2) Emit(i + 2, s1 + 1, depth + 1);
       const int head = NewBlock();
       AddEdge(cur_, head);
       cur_ = head;
       const bool infinite = CondAlwaysTrue(s1 + 1, s2);
-      if (s2 > s1 + 1) Emit(CfgStmt::Kind::kCond, s1 + 1, s2, depth + 1);
+      if (s2 > s1 + 1) Emit(s1 + 1, s2, depth + 1);
       const int body = NewBlock();
       const int inc_b = NewBlock();
       exit_b = NewBlock();
@@ -341,7 +331,7 @@ class CfgBuilder {
       AddEdge(cur_, inc_b);
       cur_ = inc_b;
       if (s2 + 1 < close) {
-        Emit(CfgStmt::Kind::kPlain, s2 + 1, close, depth + 1);
+        Emit(s2 + 1, close, depth + 1);
       }
       AddEdge(inc_b, head);
       breaks_.pop_back();
@@ -352,37 +342,13 @@ class CfgBuilder {
     return j;
   }
 
-  void RecordCaseLabel(size_t b, size_t e, SwitchDispatch* sw) {
-    std::string qualifier, label;
-    for (size_t k = b; k < e; ++k) {
-      const Tok& tk = t_[k];
-      if (tk.kind == TokKind::kIdent) {
-        if (!label.empty()) {
-          qualifier = qualifier.empty() ? label : qualifier + "::" + label;
-        }
-        label = std::string(tk.text);
-        continue;
-      }
-      if (tk.IsPunct("::")) continue;
-      sw->labels_are_idents = false;  // numeric/char/cast label
-      return;
-    }
-    if (label.empty()) {
-      sw->labels_are_idents = false;
-      return;
-    }
-    sw->labels.push_back(std::move(label));
-    if (sw->qualifier.empty()) sw->qualifier = std::move(qualifier);
-  }
-
   size_t ParseSwitch(size_t i, size_t close_paren, size_t end, int depth) {
     size_t close = MatchingBrace(t_, close_paren + 1);
     if (close == kNpos || close > end) close = end;
-    Emit(CfgStmt::Kind::kCond, i, close_paren + 1, depth);
+    Emit(i, close_paren + 1, depth);
     const int head = cur_;
     const int exit_b = NewBlock();
-    SwitchDispatch sw;
-    sw.line = t_[i].line;
+    bool has_default = false;
     breaks_.push_back({exit_b, depth + 1});
     cur_ = NewBlock();  // statements before the first label: unreachable
     size_t j = close_paren + 2;
@@ -397,7 +363,6 @@ class CfgBuilder {
           if (ck.IsPunct(":") && d == 0) break;
           ++colon;
         }
-        RecordCaseLabel(j + 1, colon, &sw);
         const int nb = NewBlock();
         AddEdge(head, nb);
         AddEdge(cur_, nb);  // fallthrough from the previous case body
@@ -407,7 +372,7 @@ class CfgBuilder {
       }
       if (t_[j].IsIdent("default") && j + 1 < close &&
           t_[j + 1].IsPunct(":")) {
-        sw.has_default = true;
+        has_default = true;
         const int nb = NewBlock();
         AddEdge(head, nb);
         AddEdge(cur_, nb);
@@ -419,9 +384,8 @@ class CfgBuilder {
       j = n > j ? n : j + 1;
     }
     AddEdge(cur_, exit_b);  // fall off the last case body
-    if (!sw.has_default) AddEdge(head, exit_b);  // uncovered value
+    if (!has_default) AddEdge(head, exit_b);  // uncovered value
     breaks_.pop_back();
-    cfg_->switches.push_back(std::move(sw));
     cur_ = exit_b;
     EmitScopeExit(close, depth, depth + 1);
     return close < end ? close + 1 : end;
@@ -462,39 +426,23 @@ class CfgBuilder {
         }
       }
       if (colon != kNpos) {
-        Emit(CfgStmt::Kind::kCond, i, q + 1, depth);
+        Emit(i, q + 1, depth);
         const int head = cur_;
         const int a1 = NewBlock();
         const int a2 = NewBlock();
         const int join = NewBlock();
         AddEdge(head, a1);
         AddEdge(head, a2);
-        EmitTo(a1, CfgStmt::Kind::kPlain, q + 1, colon, depth);
-        EmitTo(a2, CfgStmt::Kind::kPlain, colon + 1, e, depth);
+        EmitTo(a1, q + 1, colon, depth);
+        EmitTo(a2, colon + 1, e, depth);
         AddEdge(a1, join);
         AddEdge(a2, join);
         cur_ = join;
         return e;
       }
     }
-    Emit(CfgStmt::Kind::kPlain, i, e, depth);
+    Emit(i, e, depth);
     return e;
-  }
-
-  void ComputeReachability() {
-    cfg_->reachable.assign(cfg_->blocks.size(), false);
-    std::deque<int> queue = {cfg_->entry};
-    cfg_->reachable[cfg_->entry] = true;
-    while (!queue.empty()) {
-      const int b = queue.front();
-      queue.pop_front();
-      for (int s : cfg_->blocks[b].succs) {
-        if (!cfg_->reachable[s]) {
-          cfg_->reachable[s] = true;
-          queue.push_back(s);
-        }
-      }
-    }
   }
 
   const Toks& t_;
@@ -516,9 +464,6 @@ std::vector<Cfg> BuildCfgs(const LexResult& lexed, const FileSymbols& syms) {
       continue;
     }
     Cfg cfg;
-    cfg.name = f.name;
-    cfg.returns = f.returns;
-    cfg.line = f.line;
     cfg.sig_begin = f.sig_begin;
     cfg.sig_end = f.sig_end;
     CfgBuilder(t, &cfg).Build(f.body_begin, f.body_end);
@@ -533,32 +478,20 @@ std::vector<Cfg> BuildCfgs(const LexResult& lexed, const FileSymbols& syms) {
 
 namespace {
 
-/// One tracked local: the scope depth it was declared at, and (for the
-/// move analysis) whether some path has already consumed it.
-struct Fact {
-  int depth = 0;
-  bool moved = false;
-};
+/// Live guards: each tracked local's name and the scope depth it was
+/// declared at.
+using State = std::map<std::string, int>;
 
-using State = std::map<std::string, Fact>;
-
-/// May-join: a fact live (or moved) on any incoming path survives the
-/// merge.  Shadowed re-declarations keep the outer (smaller) depth so the
-/// fact outlives the inner scope conservatively.
+/// May-join: a guard live on any incoming path survives the merge.
+/// Shadowed re-declarations keep the outer (smaller) depth so the fact
+/// outlives the inner scope conservatively.
 void Join(const State& from, State* into, bool* changed) {
-  for (const auto& [name, fact] : from) {
-    auto it = into->find(name);
-    if (it == into->end()) {
-      into->emplace(name, fact);
+  for (const auto& [name, depth] : from) {
+    auto [it, inserted] = into->emplace(name, depth);
+    if (inserted) {
       *changed = true;
-      continue;
-    }
-    if (fact.depth < it->second.depth) {
-      it->second.depth = fact.depth;
-      *changed = true;
-    }
-    if (fact.moved && !it->second.moved) {
-      it->second.moved = true;
+    } else if (depth < it->second) {
+      it->second = depth;
       *changed = true;
     }
   }
@@ -599,16 +532,11 @@ std::vector<State> SolveForward(const Cfg& cfg, State entry_state,
 }
 
 // ---------------------------------------------------------------------------
-// Statement-span scanners shared by the rules
+// Statement-span scanners
 // ---------------------------------------------------------------------------
 
 bool IsGuardType(const Tok& t) {
   return TokAnyOf(t, {"ReadPageGuard", "WritePageGuard"});
-}
-
-bool IsMoveTrackedType(const Tok& t) {
-  return TokAnyOf(t, {"ReadPageGuard", "WritePageGuard", "RowBatch",
-                      "StatusOr"});
 }
 
 /// Skips a balanced <...> template-argument group starting at `i` (which
@@ -627,17 +555,15 @@ size_t SkipAngles(const Toks& t, size_t i, size_t end) {
 }
 
 /// Matches a local declaration `Type [<...>] [*&]* name` whose type token
-/// sits at `i`.  On success sets *name/*name_idx and returns true;
-/// `*is_pointer` reports a '*' declarator (a pointer to a tracked object,
-/// not the object itself).
+/// sits at `i`.  On success sets *name/*name_idx and returns true.  A
+/// guard pointer counts as a guard: whoever handed it over holds the
+/// latch.
 bool MatchDeclAt(const Toks& t, size_t i, size_t end, std::string* name,
-                 size_t* name_idx, bool* is_pointer) {
+                 size_t* name_idx) {
   size_t j = i + 1;
   if (j < end && t[j].IsPunct("<")) j = SkipAngles(t, j, end);
-  *is_pointer = false;
   while (j < end && (t[j].IsPunct("*") || t[j].IsPunct("&") ||
                      t[j].IsPunct("&&") || t[j].IsIdent("const"))) {
-    if (t[j].IsPunct("*")) *is_pointer = true;
     ++j;
   }
   if (j >= end || t[j].kind != TokKind::kIdent) return false;
@@ -665,27 +591,23 @@ bool MatchMoveAt(const Toks& t, size_t i, size_t end, std::string* name,
 }
 
 /// True when the identifier at `i` is a member access or qualified name
-/// (`obj.batch`, `ns::batch`) rather than the local itself.
+/// (`obj.guard`, `ns::ReadPageGuard`) rather than the local itself.
 bool IsMemberOrQualified(const Toks& t, size_t i) {
   return i > 0 && (t[i - 1].IsPunct(".") || t[i - 1].IsPunct("->") ||
                    t[i - 1].IsPunct("::"));
 }
 
-/// Parameters of the analyzed definition: tracked-type names become facts
-/// at depth 1 (live for the whole body).  `include_pointers` keeps
-/// guard-pointer parameters (the caller holds the latch) for the latch
-/// rule; the move rule drops them (moving a pointer copies it).
-State ParamFacts(const Toks& t, const Cfg& cfg,
-                 bool (*is_type)(const Tok&), bool include_pointers) {
+/// Guard parameters of the analyzed definition, live at depth 1 (the
+/// whole body): the caller holds those latches.
+State GuardParams(const Toks& t, const Cfg& cfg) {
   State s;
   if (cfg.sig_begin >= t.size() || cfg.sig_end >= t.size()) return s;
   for (size_t i = cfg.sig_begin + 1; i < cfg.sig_end; ++i) {
-    if (!is_type(t[i])) continue;
+    if (!IsGuardType(t[i])) continue;
     std::string name;
     size_t name_idx;
-    bool is_pointer;
-    if (MatchDeclAt(t, i, cfg.sig_end + 1, &name, &name_idx, &is_pointer)) {
-      if (!is_pointer || include_pointers) s[name] = {1, false};
+    if (MatchDeclAt(t, i, cfg.sig_end + 1, &name, &name_idx)) {
+      s[name] = 1;
       i = name_idx;
     }
   }
@@ -696,11 +618,9 @@ State ParamFacts(const Toks& t, const Cfg& cfg,
 // Rule: latch-scope (path-sensitive)
 // ---------------------------------------------------------------------------
 
-struct LatchScanCallbacks {
-  /// Called at a `// lint: blocking` call site with the state current at
-  /// that token.  Null during the fixpoint, set during the report sweep.
-  std::function<void(const Tok&, const State&)> on_blocking_call;
-};
+/// Called at a `// lint: blocking` call site with the state current at
+/// that token.  Empty during the fixpoint, set during the report sweep.
+using BlockingCallSink = std::function<void(const Tok&, const State&)>;
 
 /// One statement's worth of latch-liveness transfer, in token order:
 /// blocking-call checks see the state current at their token, Release()
@@ -708,10 +628,10 @@ struct LatchScanCallbacks {
 /// only at the end of the statement (their own initializer runs latchless).
 void LatchTransfer(const Toks& t, const std::vector<std::string>& banned,
                    const CfgStmt& stmt, State* s,
-                   const LatchScanCallbacks& cb) {
+                   const BlockingCallSink& on_blocking_call) {
   if (stmt.kind == CfgStmt::Kind::kScopeExit) {
     for (auto it = s->begin(); it != s->end();) {
-      it = it->second.depth >= stmt.exit_depth ? s->erase(it) : ++it;
+      it = it->second >= stmt.exit_depth ? s->erase(it) : ++it;
     }
     return;
   }
@@ -721,13 +641,11 @@ void LatchTransfer(const Toks& t, const std::vector<std::string>& banned,
     if (tk.kind != TokKind::kIdent) continue;
     std::string name;
     size_t idx;
-    if (IsGuardType(tk) && !IsMemberOrQualified(t, i)) {
-      bool is_pointer;
-      if (MatchDeclAt(t, i, stmt.end, &name, &idx, &is_pointer)) {
-        pending.push_back(std::move(name));
-        i = idx;
-        continue;
-      }
+    if (IsGuardType(tk) && !IsMemberOrQualified(t, i) &&
+        MatchDeclAt(t, i, stmt.end, &name, &idx)) {
+      pending.push_back(std::move(name));
+      i = idx;
+      continue;
     }
     if (MatchMoveAt(t, i, stmt.end, &name, &idx)) {
       s->erase(name);
@@ -742,267 +660,46 @@ void LatchTransfer(const Toks& t, const std::vector<std::string>& banned,
     }
     if (!s->empty() && i + 1 < stmt.end && t[i + 1].IsPunct("(") &&
         std::find(banned.begin(), banned.end(), tk.text) != banned.end()) {
-      if (cb.on_blocking_call) cb.on_blocking_call(tk, *s);
+      if (on_blocking_call) on_blocking_call(tk, *s);
     }
   }
-  for (std::string& name : pending) (*s)[name] = {stmt.depth, false};
+  for (std::string& name : pending) (*s)[name] = stmt.depth;
 }
 
-void CheckLatchScopeCfg(const std::string& path, const LexResult& lexed,
-                        const std::vector<Cfg>& cfgs,
-                        const std::vector<std::string>& banned,
-                        std::vector<Violation>* out) {
-  // buffer_pool.{h,cc} implement the guards (and do page IO while wiring
-  // them up); everything above the pool must follow the latch discipline.
-  if (PathContains(path, "common/") ||
-      PathContains(path, "storage/buffer_pool")) {
-    return;
-  }
-  if (banned.empty()) return;
+void CheckLatchScope(const std::string& path, const LexResult& lexed,
+                     const std::vector<Cfg>& cfgs,
+                     const std::vector<std::string>& banned,
+                     std::vector<Violation>* out) {
   const Toks& t = lexed.tokens;
   for (const Cfg& cfg : cfgs) {
-    const State params = ParamFacts(t, cfg, IsGuardType,
-                                    /*include_pointers=*/true);
-    LatchScanCallbacks quiet;
     auto transfer = [&](const CfgStmt& stmt, State* s) {
-      LatchTransfer(t, banned, stmt, s, quiet);
+      LatchTransfer(t, banned, stmt, s, BlockingCallSink());
     };
-    const std::vector<State> in = SolveForward(cfg, params, transfer);
+    const std::vector<State> in =
+        SolveForward(cfg, GuardParams(t, cfg), transfer);
     // Report sweep over the converged states; unreachable blocks carry no
     // state and therefore report nothing.
     std::set<std::pair<int, std::string>> reported;
-    for (size_t b = 0; b < cfg.blocks.size(); ++b) {
-      State s = in[b];
-      LatchScanCallbacks cb;
-      cb.on_blocking_call = [&](const Tok& tk, const State& live) {
-        if (HasMarker(lexed.comments, tk.line, "lint: latch-exception")) {
-          return;
-        }
-        const std::string callee(tk.text);
-        if (!reported.insert({tk.line, callee}).second) return;
-        out->push_back(
-            {path, tk.line, "latch-scope",
-             "`" + callee +
-                 "` (declared `// lint: blocking`) is reachable while page "
-                 "guard `" + live.begin()->first +
-                 "` is still held on at least one path; Release() the "
-                 "latch on every path first, or mark an intentional "
-                 "two-latch section with `// lint: latch-exception(reason)`"});
-      };
-      for (const CfgStmt& stmt : cfg.blocks[b].stmts) {
-        LatchTransfer(t, banned, stmt, &s, cb);
+    const BlockingCallSink report = [&](const Tok& tk, const State& live) {
+      if (HasMarker(lexed.comments, tk.line, "lint: latch-exception")) {
+        return;
       }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: all-paths-return
-// ---------------------------------------------------------------------------
-
-void CheckAllPathsReturn(const std::string& path, const LexResult& lexed,
-                         const std::vector<Cfg>& cfgs,
-                         std::vector<Violation>* out) {
-  for (const Cfg& cfg : cfgs) {
-    if (cfg.returns != ReturnKind::kStatus &&
-        cfg.returns != ReturnKind::kStatusOr) {
-      continue;
-    }
-    if (cfg.fall_off < 0 ||
-        static_cast<size_t>(cfg.fall_off) >= cfg.reachable.size() ||
-        !cfg.reachable[cfg.fall_off]) {
-      continue;
-    }
-    if (HasMarker(lexed.comments, cfg.end_line, "lint: fallthrough-ok") ||
-        HasMarker(lexed.comments, cfg.line, "lint: fallthrough-ok")) {
-      continue;
-    }
-    out->push_back(
-        {path, cfg.end_line, "all-paths-return",
-         "`" + cfg.name + "` returns " +
-             (cfg.returns == ReturnKind::kStatus ? "Status" : "StatusOr") +
-             " but control can fall off the closing brace; return on every "
-             "path, or mark a provably-unreachable end with "
-             "`// lint: fallthrough-ok(reason)`"});
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: use-after-move
-// ---------------------------------------------------------------------------
-
-struct MoveScanCallbacks {
-  std::function<void(const Tok&, std::string_view, bool)> on_use_after_move;
-};
-
-void MoveTransfer(const Toks& t, const CfgStmt& stmt, State* s,
-                  const MoveScanCallbacks& cb) {
-  if (stmt.kind == CfgStmt::Kind::kScopeExit) {
-    for (auto it = s->begin(); it != s->end();) {
-      it = it->second.depth >= stmt.exit_depth ? s->erase(it) : ++it;
-    }
-    return;
-  }
-  std::vector<std::string> pending;
-  for (size_t i = stmt.begin; i < stmt.end; ++i) {
-    const Tok& tk = t[i];
-    if (tk.kind != TokKind::kIdent) continue;
-    std::string name;
-    size_t idx;
-    if (IsMoveTrackedType(tk) && !IsMemberOrQualified(t, i)) {
-      bool is_pointer;
-      if (MatchDeclAt(t, i, stmt.end, &name, &idx, &is_pointer)) {
-        if (!is_pointer) pending.push_back(std::move(name));
-        i = idx;
-        continue;
-      }
-    }
-    if (MatchMoveAt(t, i, stmt.end, &name, &idx)) {
-      auto it = s->find(name);
-      if (it != s->end()) {
-        if (it->second.moved && cb.on_use_after_move) {
-          cb.on_use_after_move(t[i + 2], name, /*double_move=*/true);
-        }
-        it->second.moved = true;
-      }
-      i = idx;
-      continue;
-    }
-    auto it = s->find(std::string(tk.text));
-    if (it == s->end() || IsMemberOrQualified(t, i)) continue;
-    if (i + 1 < stmt.end && t[i + 1].IsPunct("=")) {
-      it->second.moved = false;  // re-assignment revives the value
-      continue;
-    }
-    if (it->second.moved && cb.on_use_after_move) {
-      cb.on_use_after_move(tk, it->first, /*double_move=*/false);
-    }
-  }
-  for (std::string& name : pending) (*s)[name] = {stmt.depth, false};
-}
-
-void CheckUseAfterMove(const std::string& path, const LexResult& lexed,
-                       const std::vector<Cfg>& cfgs,
-                       std::vector<Violation>* out) {
-  const Toks& t = lexed.tokens;
-  for (const Cfg& cfg : cfgs) {
-    const State params = ParamFacts(t, cfg, IsMoveTrackedType,
-                                    /*include_pointers=*/false);
-    MoveScanCallbacks quiet;
-    auto transfer = [&](const CfgStmt& stmt, State* s) {
-      MoveTransfer(t, stmt, s, quiet);
-    };
-    const std::vector<State> in = SolveForward(cfg, params, transfer);
-    std::set<std::pair<int, std::string>> reported;
-    for (size_t b = 0; b < cfg.blocks.size(); ++b) {
-      State s = in[b];
-      MoveScanCallbacks cb;
-      cb.on_use_after_move = [&](const Tok& tk, std::string_view name,
-                                 bool double_move) {
-        if (HasMarker(lexed.comments, tk.line, "lint: moved-ok")) return;
-        const std::string local(name);
-        if (!reported.insert({tk.line, local}).second) return;
-        out->push_back(
-            {path, tk.line, "use-after-move",
-             "`" + local + "` is used here, but std::move(" + local +
-                 ") already consumed it on at least one path" +
-                 (double_move ? " (moved twice)" : "") +
-                 "; re-assign it first, or mark an intentional use with "
-                 "`// lint: moved-ok(reason)`"});
-      };
-      for (const CfgStmt& stmt : cfg.blocks[b].stmts) {
-        MoveTransfer(t, stmt, &s, cb);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: exhaustive-dispatch
-// ---------------------------------------------------------------------------
-
-std::vector<std::string> SplitQualified(const std::string& name) {
-  std::vector<std::string> parts;
-  size_t pos = 0;
-  while (pos <= name.size()) {
-    const size_t next = name.find("::", pos);
-    if (next == std::string::npos) {
-      parts.push_back(name.substr(pos));
-      break;
-    }
-    parts.push_back(name.substr(pos, next - pos));
-    pos = next + 2;
-  }
-  return parts;
-}
-
-/// True when one qualified name's component list is a suffix of the
-/// other's: `Kind` vs `ScanSpec::Kind`, `ScanSpec::Kind` vs `Kind`.
-bool SuffixCompatible(const std::string& a, const std::string& b) {
-  const std::vector<std::string> pa = SplitQualified(a);
-  const std::vector<std::string> pb = SplitQualified(b);
-  const size_t n = std::min(pa.size(), pb.size());
-  for (size_t i = 1; i <= n; ++i) {
-    if (pa[pa.size() - i] != pb[pb.size() - i]) return false;
-  }
-  return n > 0;
-}
-
-void CheckExhaustiveDispatch(const std::string& path,
-                             const std::vector<Cfg>& cfgs,
-                             const std::map<std::string, EnumDecl>& enums,
-                             std::vector<Violation>* out) {
-  if (enums.empty()) return;
-  for (const Cfg& cfg : cfgs) {
-    for (const SwitchDispatch& sw : cfg.switches) {
-      if (sw.has_default || !sw.labels_are_idents || sw.labels.empty()) {
-        continue;
-      }
-      const std::set<std::string> labels(sw.labels.begin(), sw.labels.end());
-      // Candidates: every enum whose name is qualifier-compatible and
-      // whose enumerator set contains every label (a switch cannot name a
-      // non-member, so incompatible enums are definitionally wrong).
-      std::vector<const EnumDecl*> candidates;
-      for (const auto& [name, decl] : enums) {
-        if (!sw.qualifier.empty() && !SuffixCompatible(sw.qualifier, name)) {
-          continue;
-        }
-        const std::set<std::string> members(decl.enumerators.begin(),
-                                            decl.enumerators.end());
-        if (std::all_of(labels.begin(), labels.end(), [&](const auto& l) {
-              return members.count(l) != 0;
-            })) {
-          candidates.push_back(&decl);
-        }
-      }
-      if (candidates.empty()) continue;
-      // Every compatible candidate must agree, or the switch is ambiguous
-      // and the rule stays silent rather than guessing.
-      const std::vector<std::string>& first = candidates[0]->enumerators;
-      if (!std::all_of(candidates.begin() + 1, candidates.end(),
-                       [&](const EnumDecl* d) {
-                         return d->enumerators == first;
-                       })) {
-        continue;
-      }
-      std::vector<std::string> missing;
-      for (const std::string& e : first) {
-        if (labels.count(e) == 0) missing.push_back(e);
-      }
-      if (missing.empty()) continue;
-      std::string list;
-      const size_t shown = std::min<size_t>(missing.size(), 6);
-      for (size_t i = 0; i < shown; ++i) {
-        list += (i ? ", " : "") + missing[i];
-      }
-      if (missing.size() > shown) {
-        list += ", +" + std::to_string(missing.size() - shown) + " more";
-      }
+      const std::string callee(tk.text);
+      if (!reported.insert({tk.line, callee}).second) return;
       out->push_back(
-          {path, sw.line, "exhaustive-dispatch",
-           "switch over enum `" + candidates[0]->name +
-               "` does not handle " + list +
-               "; add the missing case(s) or a `default:` label"});
+          {path, tk.line, "latch-scope",
+           "`" + callee +
+               "` (declared `// lint: blocking`) is reachable while page "
+               "guard `" + live.begin()->first +
+               "` is still held on at least one path; Release() the "
+               "latch on every path first, or mark an intentional "
+               "two-latch section with `// lint: latch-exception(reason)`"});
+    };
+    for (size_t b = 0; b < cfg.blocks.size(); ++b) {
+      State s = in[b];
+      for (const CfgStmt& stmt : cfg.blocks[b].stmts) {
+        LatchTransfer(t, banned, stmt, &s, report);
+      }
     }
   }
 }
@@ -1016,22 +713,15 @@ std::vector<Violation> CheckCfgRules(const std::string& path,
   std::vector<Violation> out;
   // tools/ are standalone binaries outside the engine's discipline (and
   // the lint sources themselves quote rule syntax in docs and tests).
-  if (PathContains(path, "tools/")) return out;
-  const std::vector<Cfg> cfgs = BuildCfgs(lexed, syms);
-  if (cfgs.empty()) return out;
-  static const std::vector<std::string> kNoBanned;
-  const std::vector<std::string>& banned =
-      inputs.blocking != nullptr ? *inputs.blocking : kNoBanned;
-  CheckLatchScopeCfg(path, lexed, cfgs, banned, &out);
-  CheckAllPathsReturn(path, lexed, cfgs, &out);
-  CheckUseAfterMove(path, lexed, cfgs, &out);
-  if (inputs.enums != nullptr) {
-    CheckExhaustiveDispatch(path, cfgs, *inputs.enums, &out);
-  } else {
-    std::map<std::string, EnumDecl> local;
-    for (const EnumDecl& e : syms.enums) local.emplace(e.name, e);
-    CheckExhaustiveDispatch(path, cfgs, local, &out);
+  // buffer_pool.{h,cc} implement the guards (and do page IO while wiring
+  // them up); everything above the pool must follow the latch discipline.
+  if (PathContains(path, "tools/") || PathContains(path, "common/") ||
+      PathContains(path, "storage/buffer_pool")) {
+    return out;
   }
+  if (inputs.blocking == nullptr || inputs.blocking->empty()) return out;
+  const std::vector<Cfg> cfgs = BuildCfgs(lexed, syms);
+  CheckLatchScope(path, lexed, cfgs, *inputs.blocking, &out);
   return out;
 }
 

@@ -1,38 +1,23 @@
-// Per-function control-flow graphs and forward dataflow for mural_lint v4.
+// Per-function control-flow graphs and forward dataflow for mural_lint's
+// path-sensitive latch-scope rule.
 //
-// The v3 rules were lexical: latch-scope, for instance, tracked guard
-// liveness over the token stream, so `if (done) g.Release();` ended the
-// guard's life for the *textual* remainder of the function — blind to the
-// branch that never released.  v4 parses every function body (located by
-// the declaration parser, symbols.h) into basic blocks with edges for
-// if/else, for/while/do, switch/case, break/continue, return, the
-// conditional operator, and the MURAL_RETURN_IF_ERROR /
-// MURAL_ASSIGN_OR_RETURN early-exit macros, then runs forward dataflow to
-// a fixpoint over the graph.  Rules built on it:
+// A lexical scan tracks guard liveness over the token stream, so
+// `if (done) g.Release();` would end the guard's life for the *textual*
+// remainder of the function — blind to the branch that never released.
+// Instead every function body (located by the declaration parser,
+// symbols.h) is parsed into basic blocks with edges for if/else,
+// for/while/do, switch/case, break/continue, return, the conditional
+// operator, and the MURAL_RETURN_IF_ERROR / MURAL_ASSIGN_OR_RETURN
+// early-exit macros, then forward dataflow runs to a fixpoint:
 //
-//   latch-scope (path-sensitive)  a Read/WritePageGuard live on ANY path
-//                       into a `// lint: blocking` call is a violation;
-//                       guards released on every incoming path are not.
-//                       Union (may) join; Release()/std::move end liveness
-//                       on that path, scope exit ends it for the block's
-//                       locals.  `// lint: latch-exception(reason)` stays
-//                       the audited escape hatch.
-//   all-paths-return    a function returning Status/StatusOr must return
-//                       on every path: reaching the closing brace by
-//                       fallthrough is a violation.  Infinite loops,
-//                       abort()-style terminators, and exits through the
-//                       MURAL_* macros are understood.  Escape hatch:
-//                       `// lint: fallthrough-ok(reason)`.
-//   use-after-move      a local of guard / RowBatch / StatusOr type used
-//                       on any path after `std::move(local)` consumed it.
-//                       Re-assignment (`local = ...`) revives the value.
-//                       Escape hatch: `// lint: moved-ok(reason)`.
-//   exhaustive-dispatch a `switch` over an enum defined in the symbol
-//                       index must cover every enumerator or carry a
-//                       `default:` label.  Candidate enums are matched by
-//                       qualified-name suffix AND enumerator-set
-//                       compatibility, so a switch is never checked
-//                       against the wrong declaration.
+//   latch-scope  a Read/WritePageGuard live on ANY path into a
+//                `// lint: blocking` call is a violation; guards released
+//                on every incoming path are not.  Union (may) join;
+//                Release()/std::move end liveness on that path, scope
+//                exit ends it for the block's locals, and guard
+//                parameters are live for the whole body.
+//                `// lint: latch-exception(reason)` is the audited
+//                escape hatch.
 //
 // The graph is a heuristic over the token stream, like everything else in
 // this linter: statements are token spans, lambdas and nested class bodies
@@ -42,7 +27,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -54,16 +38,12 @@ namespace mural::lint {
 
 struct CfgStmt {
   enum class Kind {
-    kPlain,      // straight-line statement
-    kCond,       // branch condition (if/while/for/do/switch head, ?: lhs)
-    kReturn,     // return / co_return / terminator call (abort, throw)
-    kMayReturn,  // MURAL_RETURN_IF_ERROR / MURAL_ASSIGN_OR_RETURN
+    kPlain,      // any statement or branch condition, scanned in order
     kScopeExit,  // scope close or jump out: locals at depth >= exit_depth die
   };
   Kind kind = Kind::kPlain;
   size_t begin = 0;  // token range [begin, end) into the LexResult
   size_t end = 0;
-  int line = 0;
   int depth = 0;       // lexical scope depth (function body = 1)
   int exit_depth = 0;  // kScopeExit only
 };
@@ -73,31 +53,13 @@ struct CfgBlock {
   std::vector<int> succs;
 };
 
-/// One `switch` statement, recorded for the exhaustive-dispatch rule.
-struct SwitchDispatch {
-  int line = 0;
-  std::string qualifier;  // "TokKind" from `case TokKind::kIdent:`; "" when
-                          // the labels are unqualified
-  std::vector<std::string> labels;  // unqualified enumerator names
-  bool has_default = false;
-  bool labels_are_idents = true;  // false: numeric/char labels (not an enum
-                                  // dispatch; the rule skips it)
-};
-
 /// The control-flow graph of one function definition.
 struct Cfg {
-  std::string name;
-  ReturnKind returns = ReturnKind::kOther;
-  int line = 0;      // declaration line
-  int end_line = 0;  // closing-brace line
   size_t sig_begin = 0;  // parameter-list '(' ... ')' token indices
   size_t sig_end = 0;
   int entry = 0;
-  int exit = 1;          // synthetic: every return edge lands here
-  int fall_off = -1;     // block whose end falls off the closing brace
+  int exit = 1;  // synthetic: every return edge lands here
   std::vector<CfgBlock> blocks;
-  std::vector<SwitchDispatch> switches;
-  std::vector<bool> reachable;  // per block, from entry
 };
 
 /// Builds one CFG per function definition in `syms` (bodies located by the
@@ -105,17 +67,14 @@ struct Cfg {
 /// outlive the result.  Never fails on malformed input.
 std::vector<Cfg> BuildCfgs(const LexResult& lexed, const FileSymbols& syms);
 
-/// Cross-file inputs for the CFG-backed rules.
+/// Cross-file inputs for the CFG-backed rule.
 struct CfgRuleInputs {
   /// Blocking-call names (`// lint: blocking` markers), as merged by the
   /// driver — same set no-lock-across-g2p-io uses.
   const std::vector<std::string>* blocking = nullptr;
-  /// Merged enum index (SymbolIndex::enums()).  When null, the rule vets
-  /// against the file's own enum definitions only.
-  const std::map<std::string, EnumDecl>* enums = nullptr;
 };
 
-/// Runs the four CFG-backed rules over every function in `syms`.
+/// Runs latch-scope over every function in `syms`.
 std::vector<Violation> CheckCfgRules(const std::string& path,
                                      const LexResult& lexed,
                                      const FileSymbols& syms,

@@ -1,21 +1,18 @@
-// Unit tests for the per-function control-flow graph (cfg.h) and the
-// four dataflow rules built on it: path-sensitive latch-scope,
-// all-paths-return, use-after-move, and exhaustive-dispatch.  Each rule
-// must fire on a seeded violation, stay silent on the idiomatic
-// equivalent, and honor its escape comment.
+// Unit tests for the per-function control-flow graph (cfg.h) through the
+// path-sensitive latch-scope rule built on it: the rule must fire on a
+// guard held along any path into a blocking call and stay silent when
+// every path released it first.
 
 #include "cfg.h"
 
 #include <algorithm>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "lexer.h"
 #include "lint.h"
-#include "symbols.h"
 
 namespace mural::lint {
 namespace {
@@ -35,74 +32,6 @@ LintOptions BlockingCalls(std::vector<std::string> names) {
   LintOptions options;
   options.blocking_calls = std::move(names);
   return options;
-}
-
-std::vector<Cfg> CfgsOf(std::string_view src) {
-  const LexResult lexed = Lex(src);
-  const FileSymbols syms = ParseFileSymbols("src/exec/cfg_probe.cc", lexed);
-  return BuildCfgs(lexed, syms);
-}
-
-// ---------------------------------------------------------------------------
-// Graph construction
-// ---------------------------------------------------------------------------
-
-TEST(CfgBuildTest, StraightLineBodyFallsOffReachably) {
-  const auto cfgs = CfgsOf(
-      "void F(int x) {\n"
-      "  int y = x + 1;\n"
-      "  Use(y);\n"
-      "}\n");
-  ASSERT_EQ(cfgs.size(), 1u);
-  const Cfg& cfg = cfgs[0];
-  EXPECT_EQ(cfg.name, "F");
-  ASSERT_GE(cfg.fall_off, 0);
-  EXPECT_TRUE(cfg.reachable[cfg.fall_off]);
-}
-
-TEST(CfgBuildTest, ReturnMakesFallOffUnreachable) {
-  const auto cfgs = CfgsOf(
-      "int F(int x) {\n"
-      "  return x;\n"
-      "}\n");
-  ASSERT_EQ(cfgs.size(), 1u);
-  const Cfg& cfg = cfgs[0];
-  ASSERT_GE(cfg.fall_off, 0);
-  EXPECT_FALSE(cfg.reachable[cfg.fall_off]);
-}
-
-TEST(CfgBuildTest, IfWithoutElseKeepsSkipEdge) {
-  const auto cfgs = CfgsOf(
-      "int F(bool c) {\n"
-      "  if (c) {\n"
-      "    return 1;\n"
-      "  }\n"
-      "  return 0;\n"
-      "}\n");
-  ASSERT_EQ(cfgs.size(), 1u);
-  // Both returns reach exit; the fall-off block is unreachable.
-  EXPECT_FALSE(cfgs[0].reachable[cfgs[0].fall_off]);
-}
-
-TEST(CfgBuildTest, SwitchIsRecordedWithQualifierAndLabels) {
-  const auto cfgs = CfgsOf(
-      "void F(Kind k) {\n"
-      "  switch (k) {\n"
-      "    case Kind::kRead:\n"
-      "      break;\n"
-      "    case Kind::kWrite:\n"
-      "      break;\n"
-      "    default:\n"
-      "      break;\n"
-      "  }\n"
-      "}\n");
-  ASSERT_EQ(cfgs.size(), 1u);
-  ASSERT_EQ(cfgs[0].switches.size(), 1u);
-  const SwitchDispatch& sw = cfgs[0].switches[0];
-  EXPECT_EQ(sw.qualifier, "Kind");
-  EXPECT_EQ(sw.labels, (std::vector<std::string>{"kRead", "kWrite"}));
-  EXPECT_TRUE(sw.has_default);
-  EXPECT_TRUE(sw.labels_are_idents);
 }
 
 // ---------------------------------------------------------------------------
@@ -180,256 +109,6 @@ TEST(LatchScopeCfg, LoopLocalGuardReleasedEachIterationIsSilent) {
                            BlockingCalls({"Fetch", "NewPage"}));
   EXPECT_FALSE(HasRule(vs, "latch-scope"))
       << "the loop body's scope exit ends the guard before the back edge";
-}
-
-// ---------------------------------------------------------------------------
-// all-paths-return
-// ---------------------------------------------------------------------------
-
-TEST(AllPathsReturn, FiresWhenOneBranchFallsThrough) {
-  const auto vs = LintFile("src/exec/fall.cc",
-                           "Status Validate(int rows) {\n"
-                           "  if (rows > 0) {\n"
-                           "    return Status::OK();\n"
-                           "  }\n"
-                           "}\n");
-  EXPECT_EQ(CountRule(vs, "all-paths-return"), 1);
-}
-
-TEST(AllPathsReturn, SilentWhenBothBranchesReturn) {
-  const auto vs = LintFile("src/exec/fall.cc",
-                           "Status Validate(int rows) {\n"
-                           "  if (rows > 0) {\n"
-                           "    return Status::OK();\n"
-                           "  } else {\n"
-                           "    return Status::Invalid(\"empty\");\n"
-                           "  }\n"
-                           "}\n");
-  EXPECT_FALSE(HasRule(vs, "all-paths-return"));
-}
-
-TEST(AllPathsReturn, InfiniteLoopAndTerminatorAreUnderstood) {
-  const auto vs = LintFile("src/exec/fall.cc",
-                           "Status Pump() {\n"
-                           "  while (true) {\n"
-                           "    if (Done()) {\n"
-                           "      return Status::OK();\n"
-                           "    }\n"
-                           "  }\n"
-                           "}\n"
-                           "Status Die(int code) {\n"
-                           "  if (code == 0) {\n"
-                           "    return Status::OK();\n"
-                           "  }\n"
-                           "  std::abort();\n"
-                           "}\n");
-  EXPECT_FALSE(HasRule(vs, "all-paths-return"));
-}
-
-TEST(AllPathsReturn, MayReturnMacroDoesNotCountAsReturning) {
-  // MURAL_RETURN_IF_ERROR returns only on the error path; the success
-  // path continues to the closing brace.
-  const auto vs = LintFile("src/exec/fall.cc",
-                           "Status Run() {\n"
-                           "  MURAL_RETURN_IF_ERROR(Step());\n"
-                           "}\n");
-  EXPECT_EQ(CountRule(vs, "all-paths-return"), 1);
-}
-
-TEST(AllPathsReturn, NonStatusFunctionsAreNotChecked) {
-  const auto vs = LintFile("src/exec/fall.cc",
-                           "int Count(bool c) {\n"
-                           "  if (c) {\n"
-                           "    return 1;\n"
-                           "  }\n"
-                           "}\n");
-  EXPECT_FALSE(HasRule(vs, "all-paths-return"));
-}
-
-TEST(AllPathsReturn, FallthroughOkCommentIsHonored) {
-  const auto vs = LintFile("src/exec/fall.cc",
-                           "Status Validate(int rows) {\n"
-                           "  if (rows > 0) {\n"
-                           "    return Status::OK();\n"
-                           "  }\n"
-                           "}  // lint: fallthrough-ok(unreachable by caller "
-                           "contract)\n");
-  EXPECT_FALSE(HasRule(vs, "all-paths-return"));
-}
-
-// ---------------------------------------------------------------------------
-// use-after-move
-// ---------------------------------------------------------------------------
-
-TEST(UseAfterMove, FiresOnStraightLineUse) {
-  const auto vs = LintFile("src/exec/agg.cc",
-                           "void F(Sink* sink) {\n"
-                           "  RowBatch batch;\n"
-                           "  sink->Consume(std::move(batch));\n"
-                           "  batch.Reset();\n"
-                           "}\n");
-  EXPECT_EQ(CountRule(vs, "use-after-move"), 1);
-}
-
-TEST(UseAfterMove, ReassignmentRevives) {
-  const auto vs = LintFile("src/exec/agg.cc",
-                           "void F(Sink* sink) {\n"
-                           "  RowBatch batch;\n"
-                           "  sink->Consume(std::move(batch));\n"
-                           "  batch = MakeBatch();\n"
-                           "  batch.Reset();\n"
-                           "}\n");
-  EXPECT_FALSE(HasRule(vs, "use-after-move"));
-}
-
-TEST(UseAfterMove, MoveOnOneBranchFiresAtTheJoin) {
-  const auto vs = LintFile("src/exec/agg.cc",
-                           "void F(Sink* sink, bool spill) {\n"
-                           "  RowBatch batch;\n"
-                           "  if (spill) {\n"
-                           "    sink->Consume(std::move(batch));\n"
-                           "  }\n"
-                           "  Use(batch);\n"
-                           "}\n");
-  EXPECT_EQ(CountRule(vs, "use-after-move"), 1);
-}
-
-TEST(UseAfterMove, DoubleMoveFires) {
-  const auto vs = LintFile("src/exec/agg.cc",
-                           "void F(Sink* sink) {\n"
-                           "  RowBatch batch;\n"
-                           "  sink->Consume(std::move(batch));\n"
-                           "  sink->Consume(std::move(batch));\n"
-                           "}\n");
-  EXPECT_EQ(CountRule(vs, "use-after-move"), 1);
-}
-
-TEST(UseAfterMove, MemberAccessAndPointerParamsAreNotTracked) {
-  const auto vs = LintFile(
-      "src/exec/agg.cc",
-      "void F(Sink* sink, RowBatch* batch, Holder* h) {\n"
-      "  sink->Consume(std::move(batch));\n"  // moving a pointer copies it
-      "  batch->Reset();\n"
-      "  Use(h->batch);\n"  // member named like a tracked type: not ours
-      "}\n");
-  EXPECT_FALSE(HasRule(vs, "use-after-move"));
-}
-
-TEST(UseAfterMove, StatusOrConsumedThenQueriedFires) {
-  const auto vs = LintFile("src/exec/agg.cc",
-                           "void F() {\n"
-                           "  StatusOr<RowBatch> r = Make();\n"
-                           "  RowBatch b = std::move(r).value();\n"
-                           "  if (!r.ok()) {\n"
-                           "    Log();\n"
-                           "  }\n"
-                           "}\n");
-  EXPECT_EQ(CountRule(vs, "use-after-move"), 1);
-}
-
-TEST(UseAfterMove, MovedOkCommentIsHonored) {
-  const auto vs = LintFile("src/exec/agg.cc",
-                           "void F(Sink* sink) {\n"
-                           "  RowBatch batch;\n"
-                           "  sink->Consume(std::move(batch));\n"
-                           "  // lint: moved-ok(Reset restores the invariant)\n"
-                           "  batch.Reset();\n"
-                           "}\n");
-  EXPECT_FALSE(HasRule(vs, "use-after-move"));
-}
-
-// ---------------------------------------------------------------------------
-// exhaustive-dispatch
-// ---------------------------------------------------------------------------
-
-TEST(ExhaustiveDispatch, FiresOnMissingEnumerator) {
-  const auto vs = LintFile("src/exec/agg.cc",
-                           "enum class AggKind { kSum, kMin, kMax };\n"
-                           "int F(AggKind k) {\n"
-                           "  switch (k) {\n"
-                           "    case AggKind::kSum:\n"
-                           "      return 0;\n"
-                           "    case AggKind::kMin:\n"
-                           "      return 1;\n"
-                           "  }\n"
-                           "  return 2;\n"
-                           "}\n");
-  ASSERT_EQ(CountRule(vs, "exhaustive-dispatch"), 1);
-  for (const Violation& v : vs) {
-    if (v.rule == "exhaustive-dispatch") {
-      EXPECT_NE(v.message.find("kMax"), std::string::npos) << v.message;
-    }
-  }
-}
-
-TEST(ExhaustiveDispatch, DefaultLabelOrFullCoverageIsSilent) {
-  const auto vs = LintFile("src/exec/agg.cc",
-                           "enum class AggKind { kSum, kMin };\n"
-                           "int F(AggKind k) {\n"
-                           "  switch (k) {\n"
-                           "    case AggKind::kSum:\n"
-                           "      return 0;\n"
-                           "    default:\n"
-                           "      return 1;\n"
-                           "  }\n"
-                           "}\n"
-                           "int G(AggKind k) {\n"
-                           "  switch (k) {\n"
-                           "    case AggKind::kSum:\n"
-                           "      return 0;\n"
-                           "    case AggKind::kMin:\n"
-                           "      return 1;\n"
-                           "  }\n"
-                           "  return 2;\n"
-                           "}\n");
-  EXPECT_FALSE(HasRule(vs, "exhaustive-dispatch"));
-}
-
-TEST(ExhaustiveDispatch, UsesTreeWideEnumIndexWhenProvided) {
-  // The enum lives in another file; the switch-side file only sees it
-  // through the merged index the driver passes in.
-  EnumDecl scan_kind;
-  scan_kind.name = "ScanSpec::Kind";
-  scan_kind.scoped = true;
-  scan_kind.enumerators = {"kFullTable", "kIndexEq", "kIndexRange"};
-  std::map<std::string, EnumDecl> enums;
-  enums.emplace(scan_kind.name, scan_kind);
-  LintOptions options;
-  options.enums = &enums;
-  const auto vs = LintFile("src/exec/scan.cc",
-                           "int F(ScanSpec::Kind k) {\n"
-                           "  switch (k) {\n"
-                           "    case ScanSpec::Kind::kFullTable:\n"
-                           "      return 0;\n"
-                           "    case ScanSpec::Kind::kIndexEq:\n"
-                           "      return 1;\n"
-                           "  }\n"
-                           "  return 2;\n"
-                           "}\n",
-                           options);
-  ASSERT_EQ(CountRule(vs, "exhaustive-dispatch"), 1);
-}
-
-TEST(ExhaustiveDispatch, AmbiguousCandidatesAndNumericLabelsAreSkipped) {
-  // Two enums could both match the labels but disagree on the full set:
-  // the rule must not guess.  Numeric labels are not an enum dispatch.
-  const auto vs = LintFile("src/exec/agg.cc",
-                           "enum class Kind { kA, kB, kC };\n"
-                           "struct Other { enum class Kind { kA, kB }; };\n"
-                           "int F(int k) {\n"
-                           "  switch (k) {\n"
-                           "    case Kind::kA:\n"
-                           "      return 0;\n"
-                           "    case Kind::kB:\n"
-                           "      return 1;\n"
-                           "  }\n"
-                           "  switch (k) {\n"
-                           "    case 1:\n"
-                           "      return 1;\n"
-                           "  }\n"
-                           "  return 2;\n"
-                           "}\n");
-  EXPECT_FALSE(HasRule(vs, "exhaustive-dispatch"));
 }
 
 }  // namespace

@@ -114,40 +114,6 @@ void CheckPragmaOnce(const std::string& path, const Toks& t,
 }
 
 // ---------------------------------------------------------------------------
-// assert-side-effect
-// ---------------------------------------------------------------------------
-
-void CheckAssertSideEffect(const std::string& path, const Toks& t,
-                           std::vector<Violation>* out) {
-  for (size_t i = 0; i + 1 < t.size(); ++i) {
-    if (!t[i].IsIdent("assert") || !t[i + 1].IsPunct("(")) continue;
-    const size_t close = MatchingParen(t, i + 1);
-    if (close == std::string_view::npos) continue;
-    bool mutates = false;
-    for (size_t k = i + 2; k < close && !mutates; ++k) {
-      const Tok& a = t[k];
-      if (a.kind != TokKind::kPunct) continue;
-      if (a.Is("++") || a.Is("--")) mutates = true;
-      // Thanks to maximal munch, `==`, `<=`, `!=`, `>=` are single tokens,
-      // so a bare `=` token really is an assignment — except in a lambda
-      // capture [=].
-      if (a.Is("=") && !(k > 0 && t[k - 1].IsPunct("["))) mutates = true;
-      if (a.Is("+=") || a.Is("-=") || a.Is("*=") || a.Is("/=") ||
-          a.Is("%=") || a.Is("&=") || a.Is("|=") || a.Is("^=") ||
-          a.Is("<<=") || a.Is(">>=")) {
-        mutates = true;
-      }
-    }
-    if (mutates) {
-      out->push_back({path, t[i].line, "assert-side-effect",
-                      "assert argument appears to mutate state; it vanishes "
-                      "under NDEBUG"});
-    }
-    i = close;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // own-header-first
 // ---------------------------------------------------------------------------
 
@@ -674,96 +640,6 @@ void CheckLayering(const std::string& path, const FileSymbols& syms,
 }
 
 // ---------------------------------------------------------------------------
-// status-flow
-// ---------------------------------------------------------------------------
-
-/// Index of the '(' matching the ')' at `close`, scanning backward; npos
-/// when unbalanced.
-size_t MatchingOpenParen(const Toks& t, size_t close) {
-  int depth = 0;
-  size_t i = close + 1;
-  while (i > 0) {
-    --i;
-    if (t[i].IsPunct(")")) ++depth;
-    if (t[i].IsPunct("(") && --depth == 0) return i;
-  }
-  return std::string_view::npos;
-}
-
-/// Walks from the called identifier at `i` back to the start of its
-/// postfix chain: `pool_->FlushAll`, `ns::Foo`, `Get(x)->Flush`.
-size_t ChainStart(const Toks& t, size_t i) {
-  size_t s = i;
-  while (s > 0) {
-    const Tok& p = t[s - 1];
-    if (!p.IsPunct(".") && !p.IsPunct("->") && !p.IsPunct("::")) break;
-    if (s < 2) break;
-    if (t[s - 2].kind == TokKind::kIdent) {
-      s -= 2;
-      continue;
-    }
-    if (t[s - 2].IsPunct(")")) {
-      const size_t open = MatchingOpenParen(t, s - 2);
-      if (open == std::string_view::npos || open == 0 ||
-          t[open - 1].kind != TokKind::kIdent) {
-        break;
-      }
-      s = open - 1;
-      continue;
-    }
-    break;
-  }
-  return s;
-}
-
-void CheckStatusFlow(const std::string& path, const Toks& t,
-                     const std::vector<std::string>& status_names,
-                     std::vector<Violation>* out) {
-  if (PathContains(path, "tools/")) return;
-  if (status_names.empty()) return;
-  for (size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].kind != TokKind::kIdent || !t[i + 1].IsPunct("(")) continue;
-    if (std::find(status_names.begin(), status_names.end(), t[i].text) ==
-        status_names.end()) {
-      continue;
-    }
-    const size_t close = MatchingParen(t, i + 1);
-    if (close == std::string_view::npos || close + 1 >= t.size() ||
-        !t[close + 1].IsPunct(";")) {
-      continue;  // result bound, chained, or checked — not a bare statement
-    }
-    const size_t s = ChainStart(t, i);
-    // The chain must open its statement.  Anything else — `return x.F();`,
-    // `auto v = F();`, `MURAL_RETURN_IF_ERROR(F());` — consumes the value.
-    bool at_start = s == 0;
-    if (!at_start) {
-      const Tok& p = t[s - 1];
-      if (p.IsPunct(";") || p.IsPunct("{") || p.IsPunct("}") ||
-          p.IsIdent("else") || p.IsIdent("do")) {
-        at_start = true;
-      } else if (p.IsPunct(")")) {
-        // `if (...) F();` — the call is the controlled statement.  A cast
-        // group `(void) F();` is an explicit discard and stays silent.
-        const size_t open = MatchingOpenParen(t, s - 1);
-        if (open != std::string_view::npos && open > 0 &&
-            AnyOf(t[open - 1], {"if", "while", "for", "switch"})) {
-          at_start = true;
-        }
-      }
-    }
-    if (!at_start) continue;
-    out->push_back(
-        {path, t[i].line, "status-flow",
-         "`" + std::string(t[i].text) +
-             "` returns Status/StatusOr (per every declaration in the "
-             "tree) but the result is dropped; return it, "
-             "MURAL_RETURN_IF_ERROR it, or wrap it in MURAL_IGNORE_ERROR"});
-    i = close;
-  }
-}
-
-
-// ---------------------------------------------------------------------------
 // lock-order
 // ---------------------------------------------------------------------------
 
@@ -946,8 +822,6 @@ std::vector<Violation> LintFile(const std::string& rel_path,
   timed("no-throw", [&] { CheckThrow(rel_path, t, &out); });
   timed("no-raw-new-delete", [&] { CheckNewDelete(rel_path, t, &out); });
   timed("pragma-once", [&] { CheckPragmaOnce(rel_path, t, &out); });
-  timed("assert-side-effect",
-        [&] { CheckAssertSideEffect(rel_path, t, &out); });
   timed("own-header-first", [&] { CheckOwnHeaderFirst(rel_path, t, &out); });
   timed("discarded-status", [&] { CheckDiscardedStatus(rel_path, t, &out); });
   timed("no-bare-thread", [&] { CheckBareThread(rel_path, t, &out); });
@@ -956,15 +830,13 @@ std::vector<Violation> LintFile(const std::string& rel_path,
   timed("no-lock-across-g2p-io",
         [&] { CheckLockAcrossIo(rel_path, t, banned, &out); });
   timed("guarded-field", [&] { CheckGuardedField(rel_path, lexed, &out); });
-  // The CFG-backed rules (latch-scope, all-paths-return, use-after-move,
-  // exhaustive-dispatch) need the declaration parse for function bodies,
-  // so the symbols are built unconditionally now.
+  // latch-scope runs on per-function CFGs, which need the declaration
+  // parse for function bodies, so the symbols are built unconditionally.
   FileSymbols syms;
   timed("symbols", [&] { syms = ParseFileSymbols(rel_path, lexed); });
-  timed("cfg-rules", [&] {
+  timed("latch-scope", [&] {
     CfgRuleInputs inputs;
     inputs.blocking = &banned;
-    inputs.enums = options.enums;
     std::vector<Violation> cfg_out =
         CheckCfgRules(rel_path, lexed, syms, inputs);
     out.insert(out.end(), std::make_move_iterator(cfg_out.begin()),
@@ -975,18 +847,6 @@ std::vector<Violation> LintFile(const std::string& rel_path,
       CheckLayering(rel_path, syms, lexed.comments, *options.layers, &out);
     });
   }
-  timed("status-flow", [&] {
-    if (options.status_returning != nullptr) {
-      CheckStatusFlow(rel_path, t, *options.status_returning, &out);
-    } else {
-      // No tree-wide index: vet the file's own declarations so local APIs
-      // are still checked.
-      SymbolIndex index;
-      index.AddFile(syms);
-      index.Finalize();
-      CheckStatusFlow(rel_path, t, index.status_returning(), &out);
-    }
-  });
   return out;
 }
 

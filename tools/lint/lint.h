@@ -1,4 +1,9 @@
-// mural_lint: repo-invariant checks that clang-tidy cannot express.
+// mural_lint: repo-invariant checks that neither the compiler nor
+// clang-tidy can express.  Generic checks live with those tools: a dropped
+// Status/StatusOr (-Werror=unused-result), a Status function falling off
+// its end (-Werror=return-type), a switch missing an enumerator
+// (-Werror=switch), use after std::move and side effects inside assert
+// (clang-tidy's bugprone checks; see .clang-tidy).
 //
 // The core is a pure function over (path label, file content) so the unit
 // test can feed synthetic sources with seeded violations.  v2 runs every
@@ -12,8 +17,6 @@
 //   no-raw-new-delete   `new` not immediately owned by a smart pointer, and
 //                       any `delete`, are forbidden outside storage/.
 //   pragma-once         every header must contain `#pragma once`.
-//   assert-side-effect  `assert(...)` arguments must not mutate state
-//                       (they vanish under NDEBUG).
 //   own-header-first    a .cc that includes its own header must include it
 //                       before any other #include.
 //   discarded-status    a Status constructed as a bare expression statement
@@ -57,8 +60,8 @@
 //                       nothing, so this rule is what actually enforces
 //                       the declared order on every compiler.
 //
-// v3 adds cross-TU rules fed by the project-wide symbol index (symbols.h)
-// the driver builds in pass 1:
+// v3 adds rules over the include graph, read from each file's
+// declaration parse (symbols.h):
 //
 //   layering            every #include edge between src/ subsystems must
 //                       run downward in the architecture DAG declared in
@@ -70,20 +73,12 @@
 //                       assignment in layers.toml: new subsystems must be
 //                       placed in the DAG deliberately, or the layering
 //                       rule silently would not see them.
-//   status-flow         a bare-statement call to a function whose every
-//                       declaration in the tree returns Status/StatusOr
-//                       silently drops the error.  The banned-name set is
-//                       derived from the symbol index (a name also
-//                       declared with any other return type is exempt),
-//                       closing the gap class-level [[nodiscard]] cannot
-//                       see across helper and macro boundaries.  Return
-//                       the value, MURAL_RETURN_IF_ERROR it, or wrap it
-//                       in MURAL_IGNORE_ERROR.
-// v4 rebuilds the flow-sensitive rules on per-function control-flow
-// graphs (cfg.h): function bodies located by the declaration parser are
-// parsed into basic blocks (if/else, loops, switch, break/continue,
-// return, ?:, and the MURAL_RETURN_IF_ERROR / MURAL_ASSIGN_OR_RETURN
-// early exits), then forward dataflow runs to a fixpoint:
+//
+// v4 runs the flow-sensitive rule on per-function control-flow graphs
+// (cfg.h): function bodies located by the declaration parser are parsed
+// into basic blocks (if/else, loops, switch, break/continue, return, ?:,
+// and the MURAL_RETURN_IF_ERROR / MURAL_ASSIGN_OR_RETURN early exits),
+// then forward dataflow runs to a fixpoint:
 //
 //   latch-scope         no `// lint: blocking`-marked call while a
 //                       ReadPageGuard / WritePageGuard is live on ANY
@@ -95,20 +90,6 @@
 //                       version could not tell the difference).
 //                       Intentional two-latch sections (B+-tree splits)
 //                       carry `// lint: latch-exception(reason)`.
-//   all-paths-return    a function returning Status/StatusOr must return
-//                       on every path; falling off the closing brace is a
-//                       violation.  Infinite loops and abort()-style
-//                       terminators are understood.  Escape hatch:
-//                       `// lint: fallthrough-ok(reason)`.
-//   use-after-move      a guard / RowBatch / StatusOr local used on any
-//                       path after `std::move` consumed it; re-assignment
-//                       revives the value.  Escape hatch:
-//                       `// lint: moved-ok(reason)`.
-//   exhaustive-dispatch a `switch` over an enum in the symbol index must
-//                       cover every enumerator or carry `default:`.
-//                       Candidate enums match by qualified-name suffix
-//                       and enumerator-set compatibility; ambiguity means
-//                       silence, never a guess.
 
 #pragma once
 
@@ -121,7 +102,6 @@
 namespace mural::lint {
 
 struct LayerConfig;  // layers.h
-struct EnumDecl;     // symbols.h
 
 /// Accumulated wall-clock nanoseconds per rule (and per shared stage:
 /// "lex", "symbols"), filled when LintOptions::timings is set.  The
@@ -160,23 +140,9 @@ struct LintOptions {
   /// tests, editor integration) still see their local declarations.
   std::vector<std::string> blocking_calls;
 
-  /// Sorted names whose every declaration tree-wide returns Status or
-  /// StatusOr (SymbolIndex::status_returning()).  When null, LintFile
-  /// derives the set from the file's own declarations, so single-file
-  /// invocations still check locally-declared APIs.  The driver always
-  /// passes the tree-wide set: it is authoritative, including its
-  /// *exclusions* (a name some other file declares with a different
-  /// return type must not be re-added from a local parse).
-  const std::vector<std::string>* status_returning = nullptr;
-
   /// Architecture layer map (layers.h).  When null the layering and
   /// layer-config-drift rules are skipped.
   const LayerConfig* layers = nullptr;
-
-  /// Merged tree-wide enum index (SymbolIndex::enums()) for
-  /// exhaustive-dispatch.  When null the rule vets switches against the
-  /// file's own enum definitions only.
-  const std::map<std::string, EnumDecl>* enums = nullptr;
 
   /// When non-null, LintFile accumulates per-rule wall time here
   /// (--timings).  Not thread-safe: give each worker its own and merge.

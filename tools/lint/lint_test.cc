@@ -192,21 +192,6 @@ TEST(PragmaOnceRule, SilentWithPragmaAndOnSourceFiles) {
                        "pragma-once"));
 }
 
-TEST(AssertRule, FiresOnMutatingAssert) {
-  EXPECT_TRUE(HasRule(LintFile("src/a.cc", "void F(int i){assert(i++);}\n"),
-                      "assert-side-effect"));
-  EXPECT_TRUE(
-      HasRule(LintFile("src/a.cc", "void F(int i){assert(i = 3);}\n"),
-              "assert-side-effect"));
-}
-
-TEST(AssertRule, AllowsPureAsserts) {
-  const auto vs = LintFile(
-      "src/a.cc",
-      "void F(int i){ assert(i == 3); assert(i <= 4 && i != 0); }\n");
-  EXPECT_FALSE(HasRule(vs, "assert-side-effect"));
-}
-
 TEST(OwnHeaderRule, FiresWhenOwnHeaderNotFirst) {
   const auto vs = LintFile("src/exec/foo.cc",
                            "#include <vector>\n"
@@ -629,7 +614,7 @@ TEST(LintFileTest, ReportsLineNumbers) {
 }
 
 // ---------------------------------------------------------------------------
-// v3 cross-TU rules: layering, status-flow, latch-scope
+// v3 cross-TU rules: layering, latch-scope
 // ---------------------------------------------------------------------------
 
 constexpr std::string_view kTestLayers = R"(
@@ -713,63 +698,6 @@ TEST(LayeringRule, DriftOnUnassignedDirectory) {
   const auto tools = LintFile("tools/bench/bench.cc", "int x;\n",
                               WithLayers(&layers));
   EXPECT_FALSE(HasRule(tools, "layer-config-drift"));
-}
-
-TEST(StatusFlowRule, FiresOnDroppedStatusCall) {
-  const auto vs = LintFile("src/exec/op.cc",
-                           "Status Flush();\n"
-                           "void F() {\n"
-                           "  Flush();\n"
-                           "}\n");
-  EXPECT_TRUE(HasRule(vs, "status-flow"));
-}
-
-TEST(StatusFlowRule, SilentWhenConsumed) {
-  const auto vs = LintFile("src/exec/op.cc",
-                           "Status Flush();\n"
-                           "StatusOr<int> Count();\n"
-                           "Status F() {\n"
-                           "  MURAL_RETURN_IF_ERROR(Flush());\n"
-                           "  MURAL_IGNORE_ERROR(Flush());\n"
-                           "  Status s = Flush();\n"
-                           "  if (!Flush().ok()) return s;\n"
-                           "  MURAL_ASSIGN_OR_RETURN(int n, Count());\n"
-                           "  return Flush();\n"
-                           "}\n");
-  EXPECT_FALSE(HasRule(vs, "status-flow"));
-}
-
-TEST(StatusFlowRule, FiresThroughMemberChains) {
-  const auto vs = LintFile("src/storage/heap.cc",
-                           "class Pool {\n"
-                           " public:\n"
-                           "  Status FlushAll();\n"
-                           "};\n"
-                           "void F(Pool* pool) {\n"
-                           "  pool->FlushAll();\n"
-                           "}\n");
-  EXPECT_EQ(CountRule(vs, "status-flow"), 1);
-}
-
-TEST(StatusFlowRule, TreeWideIndexIsAuthoritative) {
-  // The driver's vetted set excludes `Sync` (declared void elsewhere in
-  // the tree); the local declaration must not re-add it.
-  const std::vector<std::string> vetted;  // empty: nothing is banned
-  LintOptions options;
-  options.status_returning = &vetted;
-  const auto vs = LintFile("src/exec/op.cc",
-                           "Status Sync();\n"
-                           "void F() { Sync(); }\n",
-                           options);
-  EXPECT_FALSE(HasRule(vs, "status-flow"));
-}
-
-TEST(StatusFlowRule, AmbiguousNameIsNotVetted) {
-  const auto vs = LintFile("src/exec/op.cc",
-                           "Status Sync();\n"
-                           "void Sync(int fd);\n"
-                           "void F() { Sync(); }\n");
-  EXPECT_FALSE(HasRule(vs, "status-flow"));
 }
 
 TEST(LatchScopeRule, FiresOnBlockingCallWhileGuardHeld) {

@@ -6,8 +6,7 @@
 //     no-lock-across-g2p-io and latch-scope),
 //   * ACQUIRED_BEFORE/ACQUIRED_AFTER lock-order edges,
 //   * the project-wide symbol index (symbols.h) — per-file include lists
-//     for the layering rule and the include-graph artifact, plus the
-//     vetted set of Status/StatusOr-returning names for status-flow.
+//     for the include-graph artifact.
 //
 // Pass 2 runs the per-file rules with the merged inputs, then checks the
 // merged lock-order graph for cycles.  Prints violations and exits
@@ -368,9 +367,6 @@ int main(int argc, char** argv) {
     }
     index.AddFile(std::move(parsed[i].symbols));
   }
-  index.Finalize();
-  options.status_returning = &index.status_returning();
-  options.enums = &index.enums();
   if (have_layers) options.layers = &layers;
 
   // Pass 2: per-file rules with the merged inputs, then the global graph.
@@ -470,10 +466,8 @@ int main(int argc, char** argv) {
 
   std::cout << "mural_lint: " << sources.size() << " files, "
             << options.blocking_calls.size() << " blocking marker(s), "
-            << edges.size() << " lock-order edge(s), "
-            << index.status_returning().size()
-            << " Status-returning name(s), " << index.enums().size()
-            << " enum(s), " << all.size() << " violation(s)\n";
+            << edges.size() << " lock-order edge(s), " << all.size()
+            << " violation(s)\n";
 
   if (budget_ms > 0 && elapsed_ms > budget_ms) {
     std::cerr << "mural_lint: analysis took " << elapsed_ms

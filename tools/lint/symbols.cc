@@ -1,8 +1,5 @@
 #include "symbols.h"
 
-#include <algorithm>
-#include <map>
-#include <set>
 #include <utility>
 
 #include "token_util.h"
@@ -68,54 +65,6 @@ struct ClassScope {
   int body_depth = 0;  // brace depth of tokens directly inside the body
 };
 
-/// Trims a leading `template <...>` header (templates are opaque: the
-/// argument group is skipped wholesale, never parsed).
-size_t SkipTemplateHeader(const Toks& t, size_t begin, size_t end) {
-  if (begin >= end || !t[begin].IsIdent("template")) return begin;
-  size_t i = begin + 1;
-  if (i >= end || !t[i].IsPunct("<")) return begin;
-  int depth = 0;
-  for (; i < end; ++i) {
-    if (t[i].IsPunct("<")) ++depth;
-    if (t[i].IsPunct(">")) {
-      if (--depth == 0) return i + 1;
-    }
-    if (t[i].IsPunct(">>")) {
-      depth -= 2;
-      if (depth <= 0) return i + 1;
-    }
-  }
-  return begin;
-}
-
-/// Classifies the return-type token region [begin, end): Status/StatusOr
-/// must appear at angle depth 0 to be the type head (std::vector<Status>
-/// is kOther).
-ReturnKind ClassifyReturn(const Toks& t, size_t begin, size_t end) {
-  int angle = 0;
-  for (size_t i = begin; i < end; ++i) {
-    if (t[i].IsPunct("<")) ++angle;
-    if (t[i].IsPunct(">")) angle = std::max(0, angle - 1);
-    if (t[i].IsPunct(">>")) angle = std::max(0, angle - 2);
-    if (angle != 0) continue;
-    if (t[i].IsIdent("StatusOr")) return ReturnKind::kStatusOr;
-    if (t[i].IsIdent("Status")) return ReturnKind::kStatus;
-  }
-  return ReturnKind::kOther;
-}
-
-std::string Spelling(const Toks& t, size_t begin, size_t end) {
-  std::string out;
-  for (size_t i = begin; i < end; ++i) {
-    if (!out.empty() && t[i].kind == TokKind::kIdent &&
-        t[i - 1].kind == TokKind::kIdent) {
-      out.push_back(' ');
-    }
-    out.append(t[i].text);
-  }
-  return out;
-}
-
 /// Parses a candidate function declaration whose name is the identifier at
 /// `name_idx`, immediately followed by '(' at `open`.  Returns true and
 /// fills *decl on success; `resume` is set to the index parsing may resume
@@ -143,8 +92,8 @@ bool ParseFunctionAt(const Toks& t, size_t name_idx, size_t open,
     }
   }
 
-  // Walk the return type backwards from the chain: type-ish tokens only.
-  size_t type_begin = chain_begin;
+  // Walk the return type backwards from the chain, type-ish tokens only:
+  // a declaration needs a real type identifier there.
   bool has_type_ident = false;
   {
     int angle = 0;
@@ -171,7 +120,6 @@ bool ParseFunctionAt(const Toks& t, size_t name_idx, size_t open,
       }
       --j;
     }
-    type_begin = j;
   }
   if (!has_type_ident) return false;  // constructor, call, or expression
 
@@ -228,14 +176,11 @@ bool ParseFunctionAt(const Toks& t, size_t name_idx, size_t open,
     if (!ok) return false;
   }
 
-  const size_t trimmed = SkipTemplateHeader(t, type_begin, chain_begin);
   decl->name = std::string(t[name_idx].text);
   decl->class_name =
       !qualifier.empty()
           ? qualifier
           : (classes.empty() ? "" : classes.back().qualified_name);
-  decl->return_type = Spelling(t, trimmed, chain_begin);
-  decl->returns = ClassifyReturn(t, trimmed, chain_begin);
   decl->line = t[name_idx].line;
   decl->is_definition = is_definition;
   decl->sig_begin = open;
@@ -246,62 +191,6 @@ bool ParseFunctionAt(const Toks& t, size_t name_idx, size_t open,
       decl->body_begin = body_open;
       decl->body_end = body_close;
     }
-  }
-  *resume = close;
-  return true;
-}
-
-/// Parses an `enum [class|struct] Name [: base] { ... }` definition whose
-/// `enum` keyword sits at `i`.  Returns true (and sets *resume to the
-/// closing '}') only for a named definition; forward declarations,
-/// anonymous enums, and elaborated uses (`enum Color c;`) are left for the
-/// main loop to walk over.
-bool ParseEnumAt(const Toks& t, size_t i, std::string qualified_name_prefix,
-                 size_t* resume, EnumDecl* decl) {
-  size_t j = i + 1;
-  bool scoped = false;
-  if (j < t.size() && (t[j].IsIdent("class") || t[j].IsIdent("struct"))) {
-    scoped = true;
-    ++j;
-  }
-  if (j >= t.size() || t[j].kind != TokKind::kIdent) return false;
-  const std::string name(t[j].text);
-  const int line = t[j].line;
-  ++j;
-  if (j < t.size() && t[j].IsPunct(":")) {
-    // Underlying type: skip to the '{' (or bail at statement boundaries).
-    ++j;
-    while (j < t.size() && !t[j].IsPunct("{") && !t[j].IsPunct(";") &&
-           !t[j].IsPunct("}") && !t[j].IsPunct("(")) {
-      ++j;
-    }
-  }
-  if (j >= t.size() || !t[j].IsPunct("{")) return false;
-  const size_t close = MatchingBrace(t, j);
-  if (close == std::string_view::npos) return false;
-  decl->name = qualified_name_prefix.empty()
-                   ? name
-                   : qualified_name_prefix + "::" + name;
-  decl->line = line;
-  decl->scoped = scoped;
-  // Enumerators: the first identifier of each top-level comma piece.
-  // Initializer expressions (`kA = kB | 0x4`, `kC = Size(kA)`) never
-  // contribute: only the piece-opening identifier counts.
-  bool piece_start = true;
-  int pdepth = 0;
-  for (size_t k = j + 1; k < close; ++k) {
-    const Tok& e = t[k];
-    if (e.IsPunct("(") || e.IsPunct("{")) ++pdepth;
-    if (e.IsPunct(")") || e.IsPunct("}")) --pdepth;
-    if (pdepth > 0) continue;
-    if (e.IsPunct(",")) {
-      piece_start = true;
-      continue;
-    }
-    if (piece_start && e.kind == TokKind::kIdent) {
-      decl->enumerators.push_back(std::string(e.text));
-    }
-    piece_start = false;
   }
   *resume = close;
   return true;
@@ -388,21 +277,6 @@ FileSymbols ParseFileSymbols(const std::string& rel_path,
       continue;
     }
 
-    if (tk.IsIdent("enum")) {
-      // Named definitions are consumed wholesale (their braces never reach
-      // the depth tracker); anything else — forward declaration, anonymous
-      // enum, elaborated use — falls through to the generic scan.
-      EnumDecl e;
-      size_t resume = i;
-      if (ParseEnumAt(t, i,
-                      classes.empty() ? "" : classes.back().qualified_name,
-                      &resume, &e)) {
-        out.enums.push_back(std::move(e));
-        i = resume;
-        continue;
-      }
-    }
-
     if ((tk.IsIdent("class") || tk.IsIdent("struct")) &&
         !(i > 0 && (t[i - 1].IsIdent("enum") || t[i - 1].IsPunct("<") ||
                     t[i - 1].IsPunct(",") || t[i - 1].IsIdent("template")))) {
@@ -429,51 +303,6 @@ FileSymbols ParseFileSymbols(const std::string& rel_path,
 
 void SymbolIndex::AddFile(FileSymbols symbols) {
   files_[symbols.path] = std::move(symbols);
-}
-
-void SymbolIndex::Finalize() {
-  // name -> (seen returning Status/StatusOr, seen returning anything else).
-  std::map<std::string, std::pair<bool, bool>> seen;
-  // Names that are also class names anywhere: `Foo();` might construct a
-  // temporary, so they never enter the vetted set.
-  std::set<std::string> class_names;
-  for (const auto& [path, fs] : files_) {
-    for (const FunctionDecl& f : fs.functions) {
-      auto& entry = seen[f.name];
-      if (f.returns == ReturnKind::kOther) {
-        entry.second = true;
-      } else {
-        entry.first = true;
-      }
-    }
-    for (const ClassDecl& c : fs.classes) {
-      const size_t colon = c.name.rfind("::");
-      class_names.insert(colon == std::string::npos
-                             ? c.name
-                             : c.name.substr(colon + 2));
-    }
-  }
-  status_returning_.clear();
-  for (const auto& [name, flags] : seen) {
-    if (flags.first && !flags.second && class_names.count(name) == 0) {
-      status_returning_.push_back(name);
-    }
-  }
-
-  // Merge enum definitions.  The same qualified name with the same
-  // enumerator list (a header parsed via several roots) is idempotent; a
-  // conflicting redefinition is ambiguous and dropped outright.
-  enums_.clear();
-  std::set<std::string> conflicting;
-  for (const auto& [path, fs] : files_) {
-    for (const EnumDecl& e : fs.enums) {
-      auto [it, inserted] = enums_.emplace(e.name, e);
-      if (!inserted && it->second.enumerators != e.enumerators) {
-        conflicting.insert(e.name);
-      }
-    }
-  }
-  for (const std::string& name : conflicting) enums_.erase(name);
 }
 
 }  // namespace mural::lint

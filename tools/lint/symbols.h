@@ -1,24 +1,21 @@
-// The project-wide symbol index behind mural_lint's cross-TU rules (v3).
+// The project-wide symbol index behind mural_lint's cross-TU rules.
 //
 // Pass 1 of the driver parses every file into a FileSymbols — its include
-// list, class declarations, and function declarations with return types —
-// using a lightweight declaration parser on top of the shared lexer
-// (lexer.h).  The merged SymbolIndex then feeds pass 2:
+// list, class declarations, and function declarations with their
+// signature and body spans — using a lightweight declaration parser on top
+// of the shared lexer (lexer.h).  Consumers:
 //
-//   * the architecture-layering rule consumes the per-file include lists
+//   * the architecture-layering rule reads the per-file include lists
 //     (the edges of the project include graph);
-//   * the Status-flow rule consumes the vetted set of function names whose
-//     every declaration in the tree returns Status or StatusOr, so the
-//     banned-call list is derived from the code, not hand-maintained;
 //   * the include-graph artifact (--graph-json/--graph-dot) is a straight
-//     serialization of the index.
+//     serialization of the merged SymbolIndex;
+//   * the CFG builder (cfg.h) parses the function bodies the declaration
+//     parser located.
 //
 // The parser is a heuristic over the token stream, not a real C++ front
 // end.  It is deliberately conservative: templates are treated as opaque
-// token groups, expressions that merely resemble declarations are rejected
-// through LooksLikeParamList, and a name declared with conflicting return
-// types anywhere in the tree is dropped from the Status-returning set, so
-// overloads cannot produce false positives downstream.
+// token groups, and expressions that merely resemble declarations are
+// rejected through LooksLikeParamList.
 
 #pragma once
 
@@ -30,13 +27,6 @@
 #include "lexer.h"
 
 namespace mural::lint {
-
-/// Classification of a declared function's return type.
-enum class ReturnKind {
-  kOther,     // void, bool, T, ...
-  kStatus,    // Status (possibly mural:: qualified)
-  kStatusOr,  // StatusOr<T>
-};
 
 /// One #include directive.
 struct IncludeRef {
@@ -59,8 +49,6 @@ struct FunctionDecl {
   std::string class_name;   // enclosing class ("BufferPool"), "" for free
                             // functions; for out-of-line definitions the
                             // qualifier chain before the name
-  std::string return_type;  // spelling, e.g. "StatusOr<ReadPageGuard>"
-  ReturnKind returns = ReturnKind::kOther;
   int line = 0;
   bool is_definition = false;  // had a body (or = default / = delete)
   // Token indices into the LexResult the declaration was parsed from: the
@@ -73,23 +61,12 @@ struct FunctionDecl {
   size_t body_end = static_cast<size_t>(-1);
 };
 
-/// One enum / enum class definition.  `name` is qualified by lexical class
-/// nesting ("ScanSpec::Kind" for a nested enum); forward declarations and
-/// anonymous enums contribute nothing.
-struct EnumDecl {
-  std::string name;
-  int line = 0;
-  bool scoped = false;  // enum class / enum struct
-  std::vector<std::string> enumerators;  // declaration order
-};
-
 /// Everything pass 1 learns about one file.
 struct FileSymbols {
   std::string path;  // repo-relative label, e.g. "src/exec/foo.cc"
   std::vector<IncludeRef> includes;
   std::vector<ClassDecl> classes;
   std::vector<FunctionDecl> functions;
-  std::vector<EnumDecl> enums;
 };
 
 /// Parses one file.  Never fails: unparseable regions simply contribute no
@@ -101,35 +78,15 @@ FileSymbols ParseFileSymbols(const std::string& rel_path,
 FileSymbols ParseFileSymbols(const std::string& rel_path,
                              const LexResult& lexed);
 
-/// The merged tree-wide index.  Build with AddFile (any order), then call
-/// Finalize once before reading the derived sets.
+/// The merged tree-wide index, keyed by path.
 class SymbolIndex {
  public:
   void AddFile(FileSymbols symbols);
-
-  /// Computes the vetted Status-returning name set: names where every
-  /// declaration across the tree returns Status or StatusOr.  A name also
-  /// declared with a different return type anywhere (an overload, an
-  /// unrelated class's method) is excluded outright.
-  void Finalize();
-
-  /// Sorted; valid after Finalize.
-  const std::vector<std::string>& status_returning() const {
-    return status_returning_;
-  }
-
-  /// Merged enum definitions keyed by qualified name; valid after
-  /// Finalize.  A name defined with *different* enumerator lists in two
-  /// places is ambiguous and dropped outright, so the exhaustive-dispatch
-  /// rule can never check a switch against the wrong declaration.
-  const std::map<std::string, EnumDecl>& enums() const { return enums_; }
 
   const std::map<std::string, FileSymbols>& files() const { return files_; }
 
  private:
   std::map<std::string, FileSymbols> files_;
-  std::vector<std::string> status_returning_;
-  std::map<std::string, EnumDecl> enums_;
 };
 
 }  // namespace mural::lint

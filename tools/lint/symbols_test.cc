@@ -1,10 +1,9 @@
-// Unit tests for the declaration parser and symbol index (symbols.h):
-// forward declarations, nested classes, out-of-line definitions,
-// templates-as-opaque, and the vetted Status-returning set.
+// Unit tests for the declaration parser (symbols.h): includes, forward
+// declarations, nested classes, out-of-line definitions, and
+// templates-as-opaque.
 
 #include "symbols.h"
 
-#include <algorithm>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -76,11 +75,9 @@ class Outer {
   const FunctionDecl* flush = FindFunction(fs, "Flush");
   ASSERT_NE(flush, nullptr);
   EXPECT_EQ(flush->class_name, "Outer::Inner");
-  EXPECT_EQ(flush->returns, ReturnKind::kStatus);
   const FunctionDecl* run = FindFunction(fs, "Run");
   ASSERT_NE(run, nullptr);
   EXPECT_EQ(run->class_name, "Outer");
-  EXPECT_EQ(run->returns, ReturnKind::kOther);
 }
 
 TEST(SymbolsTest, OutOfLineDefinitionKeepsQualifier) {
@@ -92,7 +89,6 @@ StatusOr<ReadPageGuard> BufferPool::Fetch(PageId id) {
   const FunctionDecl* fetch = FindFunction(fs, "Fetch");
   ASSERT_NE(fetch, nullptr);
   EXPECT_EQ(fetch->class_name, "BufferPool");
-  EXPECT_EQ(fetch->returns, ReturnKind::kStatusOr);
   EXPECT_TRUE(fetch->is_definition);
 }
 
@@ -118,12 +114,8 @@ std::vector<Status> History();
 )");
   const FunctionDecl* apply = FindFunction(fs, "Apply");
   ASSERT_NE(apply, nullptr);
-  EXPECT_EQ(apply->returns, ReturnKind::kStatus)
-      << "the template header must not leak into the return type";
-  // Status inside template angles is NOT a Status return.
   const FunctionDecl* history = FindFunction(fs, "History");
   ASSERT_NE(history, nullptr);
-  EXPECT_EQ(history->returns, ReturnKind::kOther);
 }
 
 TEST(SymbolsTest, ExpressionsAreNotDeclarations) {
@@ -154,103 +146,30 @@ class Disk {
 )");
   const FunctionDecl* read = FindFunction(fs, "ReadPage");
   ASSERT_NE(read, nullptr);
-  EXPECT_EQ(read->returns, ReturnKind::kStatus);
   EXPECT_FALSE(read->is_definition);
   ASSERT_NE(FindFunction(fs, "Lock"), nullptr);
   const FunctionDecl* sync = FindFunction(fs, "Sync");
   ASSERT_NE(sync, nullptr);
-  EXPECT_EQ(sync->returns, ReturnKind::kStatus);
 }
 
-TEST(SymbolsTest, EnumAndEnumClassAreParsed) {
-  const FileSymbols fs = ParseFileSymbols("src/a.h", R"(
-enum class TypeId : uint8_t {
-  kInt32 = 0,
-  kInt64,
-  kString,
-};
-enum LegacyFlags { kNone, kDirty = 1 << 0, kPinned = 1 << 1 };
-)");
-  ASSERT_EQ(fs.enums.size(), 2u);
-  EXPECT_EQ(fs.enums[0].name, "TypeId");
-  EXPECT_TRUE(fs.enums[0].scoped);
-  EXPECT_EQ(fs.enums[0].enumerators,
-            (std::vector<std::string>{"kInt32", "kInt64", "kString"}));
-  EXPECT_EQ(fs.enums[1].name, "LegacyFlags");
-  EXPECT_FALSE(fs.enums[1].scoped);
-  EXPECT_EQ(fs.enums[1].enumerators,
-            (std::vector<std::string>{"kNone", "kDirty", "kPinned"}))
-      << "initializer expressions must not contribute enumerators";
-}
-
-TEST(SymbolsTest, NestedEnumGetsQualifiedName) {
+TEST(SymbolsTest, EnumBodiesDoNotBreakClassNesting) {
   const FileSymbols fs = ParseFileSymbols("src/a.h", R"(
 struct ScanSpec {
-  enum class Kind { kFullTable, kIndexEq, kIndexRange };
-  int limit = 0;
+  enum class Kind : uint8_t { kFullTable, kIndexEq = Size(2), kIndexRange };
+  void Run();
 };
+void Free();
 )");
-  ASSERT_EQ(fs.enums.size(), 1u);
-  EXPECT_EQ(fs.enums[0].name, "ScanSpec::Kind");
-  EXPECT_EQ(fs.enums[0].enumerators.size(), 3u);
-  // The enum braces must not confuse the class-nesting tracker.
   EXPECT_NE(FindClass(fs, "ScanSpec"), nullptr);
-}
-
-TEST(SymbolsTest, EnumForwardDeclarationsAndAnonymousAreIgnored) {
-  const FileSymbols fs = ParseFileSymbols("src/a.h", R"(
-enum class Opcode : int;
-enum { kAnonymousConstant = 7 };
-void Frob(enum Widget w);
-)");
-  EXPECT_TRUE(fs.enums.empty());
-}
-
-TEST(SymbolIndexTest, ConflictingEnumDefinitionsAreDropped) {
-  SymbolIndex index;
-  index.AddFile(ParseFileSymbols("src/a.h", R"(
-enum class Kind { kA, kB };
-enum class Stable { kX, kY };
-)"));
-  index.AddFile(ParseFileSymbols("src/b.h", R"(
-enum class Kind { kA, kB, kC };
-)"));
-  index.Finalize();
-  EXPECT_EQ(index.enums().count("Kind"), 0u)
-      << "two definitions with different enumerators are ambiguous";
-  ASSERT_EQ(index.enums().count("Stable"), 1u);
-  EXPECT_EQ(index.enums().at("Stable").enumerators,
-            (std::vector<std::string>{"kX", "kY"}));
-}
-
-TEST(SymbolIndexTest, VetsOnlyUnambiguousStatusNames) {
-  SymbolIndex index;
-  index.AddFile(ParseFileSymbols("src/a.h", R"(
-Status Flush();
-Status Sync();
-)"));
-  index.AddFile(ParseFileSymbols("src/b.h", R"(
-class Log {
- public:
-  void Sync();
-};
-)"));
-  index.Finalize();
-  const std::vector<std::string>& vetted = index.status_returning();
-  EXPECT_NE(std::find(vetted.begin(), vetted.end(), "Flush"), vetted.end());
-  // `Sync` is declared void elsewhere: ambiguous, so excluded.
-  EXPECT_EQ(std::find(vetted.begin(), vetted.end(), "Sync"), vetted.end());
-}
-
-TEST(SymbolIndexTest, NameCollidingWithClassIsExcluded) {
-  SymbolIndex index;
-  index.AddFile(ParseFileSymbols("src/a.h", R"(
-class Checkpoint {};
-Status Checkpoint();
-)"));
-  index.Finalize();
-  EXPECT_TRUE(index.status_returning().empty())
-      << "`Checkpoint();` might construct a temporary, not call the function";
+  EXPECT_EQ(FindClass(fs, "ScanSpec::Kind"), nullptr);
+  EXPECT_EQ(FindFunction(fs, "Size"), nullptr)
+      << "an enumerator initializer is not a declaration";
+  const FunctionDecl* run = FindFunction(fs, "Run");
+  ASSERT_NE(run, nullptr);
+  EXPECT_EQ(run->class_name, "ScanSpec");
+  const FunctionDecl* free_fn = FindFunction(fs, "Free");
+  ASSERT_NE(free_fn, nullptr);
+  EXPECT_EQ(free_fn->class_name, "");
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 // held on the other path.  The v3 lexical rule was blind to exactly this
 // shape — the textual Release() ended the guard's life for the rest of
 // the function regardless of branching — so this fixture is the
-// regression proof that the CFG rule sees through it.  Registered as a
-// WILL_FAIL ctest: the lint exiting non-zero is the passing outcome.
+// regression proof that the CFG rule sees through it.  The
+// mural_lint_latch_branch ctest passes only when the lint reports
+// [latch-scope] here.
 
 void ReadPage(int page_id);  // lint: blocking
 
