@@ -74,57 +74,30 @@ Status TupleCodec::Deserialize(const Schema& schema, std::string_view data,
   out->reserve(schema.NumColumns());
   Decoder dec(data);
   for (size_t i = 0; i < schema.NumColumns(); ++i) {
-    const Column& col = schema.column(i);
-    uint8_t flag = 0;
-    MURAL_RETURN_IF_ERROR(dec.GetU8(&flag));
-    if (flag == 0) {
+    if (dec.U8() == 0) {
       out->push_back(Value::Null());
       continue;
     }
-    switch (col.type) {
-      case TypeId::kBool: {
-        uint8_t b = 0;
-        MURAL_RETURN_IF_ERROR(dec.GetU8(&b));
-        out->push_back(Value::Bool(b != 0));
+    switch (schema.column(i).type) {
+      case TypeId::kBool:
+        out->push_back(Value::Bool(dec.U8() != 0));
         break;
-      }
-      case TypeId::kInt32: {
-        uint32_t v = 0;
-        MURAL_RETURN_IF_ERROR(dec.GetU32(&v));
-        out->push_back(Value::Int32(static_cast<int32_t>(v)));
+      case TypeId::kInt32:
+        out->push_back(Value::Int32(static_cast<int32_t>(dec.U32())));
         break;
-      }
-      case TypeId::kInt64: {
-        uint64_t v = 0;
-        MURAL_RETURN_IF_ERROR(dec.GetU64(&v));
-        out->push_back(Value::Int64(static_cast<int64_t>(v)));
+      case TypeId::kInt64:
+        out->push_back(Value::Int64(static_cast<int64_t>(dec.U64())));
         break;
-      }
-      case TypeId::kFloat64: {
-        double v = 0;
-        MURAL_RETURN_IF_ERROR(dec.GetF64(&v));
-        out->push_back(Value::Float64(v));
+      case TypeId::kFloat64:
+        out->push_back(Value::Float64(dec.F64()));
         break;
-      }
-      case TypeId::kText: {
-        std::string s;
-        MURAL_RETURN_IF_ERROR(dec.GetLengthPrefixed(&s));
-        out->push_back(Value::Text(std::move(s)));
+      case TypeId::kText:
+        out->push_back(Value::Text(std::string(dec.LengthPrefixed())));
         break;
-      }
       case TypeId::kUniText: {
-        std::string s;
-        MURAL_RETURN_IF_ERROR(dec.GetLengthPrefixed(&s));
-        uint16_t lang = 0;
-        MURAL_RETURN_IF_ERROR(dec.GetU16(&lang));
-        uint8_t has_ph = 0;
-        MURAL_RETURN_IF_ERROR(dec.GetU8(&has_ph));
-        UniText u(std::move(s), lang);
-        if (has_ph != 0) {
-          std::string ph;
-          MURAL_RETURN_IF_ERROR(dec.GetLengthPrefixed(&ph));
-          u.set_phonemes(std::move(ph));
-        }
+        std::string text(dec.LengthPrefixed());
+        UniText u(std::move(text), dec.U16());
+        if (dec.U8() != 0) u.set_phonemes(std::string(dec.LengthPrefixed()));
         out->push_back(Value::Uni(std::move(u)));
         break;
       }
@@ -132,6 +105,7 @@ Status TupleCodec::Deserialize(const Schema& schema, std::string_view data,
         return Status::Corruption("column of type NULL in schema");
     }
   }
+  MURAL_RETURN_IF_ERROR(dec.status());
   if (!dec.AtEnd()) {
     return Status::Corruption("trailing bytes after tuple");
   }
@@ -149,60 +123,41 @@ Status TupleCodec::PeekUniText(const Schema& schema, std::string_view data,
   }
   Decoder dec(data);
   for (size_t i = 0; i < col; ++i) {
-    uint8_t flag = 0;
-    MURAL_RETURN_IF_ERROR(dec.GetU8(&flag));
-    if (flag == 0) continue;
+    if (dec.U8() == 0) continue;
     switch (schema.column(i).type) {
       case TypeId::kBool:
-        MURAL_RETURN_IF_ERROR(dec.Skip(1));
+        dec.Skip(1);
         break;
       case TypeId::kInt32:
-        MURAL_RETURN_IF_ERROR(dec.Skip(4));
+        dec.Skip(4);
         break;
       case TypeId::kInt64:
       case TypeId::kFloat64:
-        MURAL_RETURN_IF_ERROR(dec.Skip(8));
+        dec.Skip(8);
         break;
-      case TypeId::kText: {
-        uint32_t len = 0;
-        MURAL_RETURN_IF_ERROR(dec.GetU32(&len));
-        MURAL_RETURN_IF_ERROR(dec.Skip(len));
+      case TypeId::kText:
+        dec.Skip(dec.U32());
         break;
-      }
-      case TypeId::kUniText: {
-        uint32_t len = 0;
-        MURAL_RETURN_IF_ERROR(dec.GetU32(&len));
-        MURAL_RETURN_IF_ERROR(dec.Skip(len + 2));  // text + lang
-        uint8_t has_ph = 0;
-        MURAL_RETURN_IF_ERROR(dec.GetU8(&has_ph));
-        if (has_ph != 0) {
-          MURAL_RETURN_IF_ERROR(dec.GetU32(&len));
-          MURAL_RETURN_IF_ERROR(dec.Skip(len));
-        }
+      case TypeId::kUniText:
+        dec.Skip(size_t{dec.U32()} + 2);  // text + lang
+        if (dec.U8() != 0) dec.Skip(dec.U32());
         break;
-      }
       case TypeId::kNull:
         return Status::Corruption("column of type NULL in schema");
     }
   }
   *view = UniTextColumnView();
-  uint8_t flag = 0;
-  MURAL_RETURN_IF_ERROR(dec.GetU8(&flag));
-  if (flag == 0) {
+  if (dec.U8() == 0) {
     view->is_null = true;
-    return Status::OK();
-  }
-  MURAL_RETURN_IF_ERROR(dec.GetLengthPrefixedView(&view->text));
-  if (want == TypeId::kUniText) {
-    MURAL_RETURN_IF_ERROR(dec.GetU16(&view->lang));
-    uint8_t has_ph = 0;
-    MURAL_RETURN_IF_ERROR(dec.GetU8(&has_ph));
-    if (has_ph != 0) {
-      view->has_phonemes = true;
-      MURAL_RETURN_IF_ERROR(dec.GetLengthPrefixedView(&view->phonemes));
+  } else {
+    view->text = dec.LengthPrefixed();
+    if (want == TypeId::kUniText) {
+      view->lang = dec.U16();
+      view->has_phonemes = dec.U8() != 0;
+      if (view->has_phonemes) view->phonemes = dec.LengthPrefixed();
     }
   }
-  return Status::OK();
+  return dec.status();
 }
 
 size_t TupleCodec::SerializedSize(const Schema& schema, const Row& row) {

@@ -39,17 +39,17 @@ std::string EncodeInternal(std::string_view key, PageId child) {
 
 Status DecodeLeaf(Slice record, LeafEntry* out) {
   Decoder dec(record.ToStringView());
-  MURAL_RETURN_IF_ERROR(dec.GetLengthPrefixed(&out->key));
-  MURAL_RETURN_IF_ERROR(dec.GetU32(&out->rid.page));
-  MURAL_RETURN_IF_ERROR(dec.GetU16(&out->rid.slot));
-  return Status::OK();
+  out->key = dec.LengthPrefixed();
+  out->rid.page = dec.U32();
+  out->rid.slot = dec.U16();
+  return dec.status();
 }
 
 Status DecodeInternal(Slice record, InternalEntry* out) {
   Decoder dec(record.ToStringView());
-  MURAL_RETURN_IF_ERROR(dec.GetLengthPrefixed(&out->key));
-  MURAL_RETURN_IF_ERROR(dec.GetU32(&out->child));
-  return Status::OK();
+  out->key = dec.LengthPrefixed();
+  out->child = dec.U32();
+  return dec.status();
 }
 
 Status ReadLeafEntries(const Page* page, std::vector<LeafEntry>* out) {

@@ -22,11 +22,11 @@ std::string EncodeEntry(const GistEntry& e) {
 
 Status DecodeEntry(Slice record, GistEntry* out) {
   Decoder dec(record.ToStringView());
-  MURAL_RETURN_IF_ERROR(dec.GetLengthPrefixed(&out->key));
-  MURAL_RETURN_IF_ERROR(dec.GetU32(&out->child));
-  MURAL_RETURN_IF_ERROR(dec.GetU32(&out->rid.page));
-  MURAL_RETURN_IF_ERROR(dec.GetU16(&out->rid.slot));
-  return Status::OK();
+  out->key = dec.LengthPrefixed();
+  out->child = dec.U32();
+  out->rid.page = dec.U32();
+  out->rid.slot = dec.U16();
+  return dec.status();
 }
 
 Status ReadEntries(const Page* page, std::vector<GistEntry>* out) {

@@ -91,6 +91,7 @@ class GistTree {
   uint64_t num_entries() const { return num_entries_; }
   uint32_t num_pages() const { return num_pages_; }
   uint32_t height() const { return height_; }
+  PageId root() const { return root_; }
   GistStats& stats() const { return stats_; }
 
  private:

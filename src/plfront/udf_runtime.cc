@@ -195,8 +195,8 @@ std::string UdfRuntime::SerializeArgs(const std::vector<PlValue>& args) {
 StatusOr<std::vector<PlValue>> UdfRuntime::DeserializeArgs(
     std::string_view wire) {
   Decoder dec(wire);
-  uint32_t count = 0;
-  MURAL_RETURN_IF_ERROR(dec.GetU32(&count));
+  const uint32_t count = dec.U32();
+  MURAL_RETURN_IF_ERROR(dec.status());
   // Every argument needs at least its one-byte tag, so a count larger
   // than the remaining payload is corrupt — reject before reserving
   // (a garbage count must not drive allocation).
@@ -206,40 +206,27 @@ StatusOr<std::vector<PlValue>> UdfRuntime::DeserializeArgs(
   std::vector<PlValue> out;
   out.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    uint8_t tag = 0;
-    MURAL_RETURN_IF_ERROR(dec.GetU8(&tag));
-    switch (tag) {
+    switch (dec.U8()) {
       case 0:
         out.emplace_back();
         break;
-      case 1: {
-        uint8_t b = 0;
-        MURAL_RETURN_IF_ERROR(dec.GetU8(&b));
-        out.emplace_back(b != 0);
+      case 1:
+        out.emplace_back(dec.U8() != 0);
         break;
-      }
-      case 2: {
-        uint64_t v = 0;
-        MURAL_RETURN_IF_ERROR(dec.GetU64(&v));
-        out.emplace_back(static_cast<int64_t>(v));
+      case 2:
+        out.emplace_back(static_cast<int64_t>(dec.U64()));
         break;
-      }
-      case 3: {
-        double d = 0;
-        MURAL_RETURN_IF_ERROR(dec.GetF64(&d));
-        out.emplace_back(d);
+      case 3:
+        out.emplace_back(dec.F64());
         break;
-      }
-      case 4: {
-        std::string s;
-        MURAL_RETURN_IF_ERROR(dec.GetLengthPrefixed(&s));
-        out.emplace_back(std::move(s));
+      case 4:
+        out.emplace_back(std::string(dec.LengthPrefixed()));
         break;
-      }
       default:
         return Status::Corruption("bad wire tag");
     }
   }
+  MURAL_RETURN_IF_ERROR(dec.status());
   return out;
 }
 

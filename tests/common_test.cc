@@ -116,18 +116,18 @@ TEST(CodingTest, RoundTripAllWidths) {
   PutLengthPrefixed(&buf, "payload");
 
   Decoder dec(buf);
-  uint8_t u8;
-  uint16_t u16;
-  uint32_t u32;
-  uint64_t u64;
-  double f64;
-  std::string str;
-  ASSERT_TRUE(dec.GetU8(&u8).ok());
-  ASSERT_TRUE(dec.GetU16(&u16).ok());
-  ASSERT_TRUE(dec.GetU32(&u32).ok());
-  ASSERT_TRUE(dec.GetU64(&u64).ok());
-  ASSERT_TRUE(dec.GetF64(&f64).ok());
-  ASSERT_TRUE(dec.GetLengthPrefixed(&str).ok());
+  const uint8_t u8 = dec.U8();
+  ASSERT_TRUE(dec.ok());
+  const uint16_t u16 = dec.U16();
+  ASSERT_TRUE(dec.ok());
+  const uint32_t u32 = dec.U32();
+  ASSERT_TRUE(dec.ok());
+  const uint64_t u64 = dec.U64();
+  ASSERT_TRUE(dec.ok());
+  const double f64 = dec.F64();
+  ASSERT_TRUE(dec.ok());
+  const std::string_view str = dec.LengthPrefixed();
+  ASSERT_TRUE(dec.ok());
   EXPECT_EQ(u8, 0xAB);
   EXPECT_EQ(u16, 0xBEEF);
   EXPECT_EQ(u32, 0xDEADBEEFu);
@@ -140,14 +140,33 @@ TEST(CodingTest, RoundTripAllWidths) {
 TEST(CodingTest, TruncatedReadsFailCleanly) {
   std::string buf;
   PutU32(&buf, 100);  // claims a 100-byte string follows, but none does
-  Decoder dec(buf);
-  std::string out;
   Decoder dec2(buf);
-  EXPECT_FALSE(dec2.GetLengthPrefixed(&out).ok());
+  EXPECT_TRUE(dec2.LengthPrefixed().empty());
+  EXPECT_FALSE(dec2.ok());
 
   Decoder dec3("");
-  uint64_t v;
-  EXPECT_TRUE(dec3.GetU64(&v).IsCorruption());
+  EXPECT_EQ(dec3.U64(), 0u);
+  EXPECT_TRUE(dec3.status().IsCorruption());
+}
+
+TEST(CodingTest, FirstShortReadLatches) {
+  std::string buf;
+  PutU16(&buf, 7);
+  PutU8(&buf, 9);
+  Decoder dec(buf);
+  EXPECT_EQ(dec.U16(), 7u);
+  EXPECT_EQ(dec.U32(), 0u);  // 1 byte left: fails and latches
+  EXPECT_FALSE(dec.ok());
+  // The byte that is still there is no longer readable, the cursor does
+  // not move, and the status keeps naming the first failed read.
+  EXPECT_EQ(dec.U8(), 0u);
+  EXPECT_TRUE(dec.LengthPrefixed().empty());
+  dec.Skip(1);
+  EXPECT_EQ(dec.remaining(), 0u);
+  const Status st = dec.status();
+  EXPECT_TRUE(st.IsCorruption());
+  EXPECT_NE(st.message().find("u32 at offset 2"), std::string::npos)
+      << st.message();
 }
 
 // ------------------------------------------------------------------- Rng

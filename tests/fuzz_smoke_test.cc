@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <memory>
 
 #include "catalog/tuple_codec.h"
 #include "common/coding.h"
@@ -42,6 +45,88 @@ std::string RandomTokenSoup(Rng* rng, const std::vector<std::string>& vocab,
     out += ' ';
   }
   return out;
+}
+
+/// A copy of `bytes` in a heap block of exactly its size.  A std::string
+/// keeps a NUL terminator past its end, so only an exact-size block lets
+/// ASan flag a decoder that over-reads by a single byte.
+class ExactBuffer {
+ public:
+  explicit ExactBuffer(std::string_view bytes)
+      : size_(bytes.size()), data_(std::make_unique<char[]>(bytes.size())) {
+    std::memcpy(data_.get(), bytes.data(), size_);
+  }
+
+  std::string_view view() const { return {data_.get(), size_}; }
+
+  /// True when `v` lies wholly inside the buffer (empty views anywhere).
+  bool Contains(std::string_view v) const {
+    const auto lo = reinterpret_cast<uintptr_t>(data_.get());
+    const auto p = reinterpret_cast<uintptr_t>(v.data());
+    return v.empty() || (p >= lo && p + v.size() <= lo + size_);
+  }
+
+ private:
+  size_t size_;
+  std::unique_ptr<char[]> data_;
+};
+
+/// Every storable column type sits ahead of the key, which is last, so a
+/// peek must skip each encoding (UniText with and without phonemes, and a
+/// NULL) before it reaches the key.
+Schema PeekSchema(TypeId key_type) {
+  return Schema({{"b", TypeId::kBool},
+                 {"i", TypeId::kInt32},
+                 {"l", TypeId::kInt64},
+                 {"f", TypeId::kFloat64},
+                 {"t", TypeId::kText},
+                 {"u_ph", TypeId::kUniText},
+                 {"u", TypeId::kUniText},
+                 {"n", TypeId::kInt64},
+                 {"key", key_type}});
+}
+
+Row PeekRow(TypeId key_type) {
+  Row row{Value::Bool(true),
+          Value::Int32(-7),
+          Value::Int64(int64_t{1} << 40),
+          Value::Float64(2.5),
+          Value::Text("plain"),
+          Value::Uni("svara", lang::kTamil),
+          Value::Uni("nadi", lang::kHindi),
+          Value::Null(),
+          key_type == TypeId::kText ? Value::Text("charitram")
+                                    : Value::Uni("charitram", lang::kTamil)};
+  row[5].mutable_unitext().set_phonemes("S V A R A");
+  if (key_type == TypeId::kUniText) {
+    row[8].mutable_unitext().set_phonemes("C A R I T R A M");
+  }
+  return row;
+}
+
+/// A random value of `type`; one in five is NULL.
+Value RandomValue(Rng* rng, TypeId type) {
+  if (rng->Uniform(5) == 0) return Value::Null();
+  switch (type) {
+    case TypeId::kBool:
+      return Value::Bool(rng->Uniform(2) == 1);
+    case TypeId::kInt32:
+      return Value::Int32(static_cast<int32_t>(rng->Next()));
+    case TypeId::kInt64:
+      return Value::Int64(static_cast<int64_t>(rng->Next()));
+    case TypeId::kFloat64:
+      return Value::Float64(static_cast<double>(rng->Uniform(1000)) / 8);
+    case TypeId::kText:
+      return Value::Text(RandomBytes(rng, 12));
+    case TypeId::kUniText: {
+      UniText u(RandomBytes(rng, 12), static_cast<LangId>(rng->Uniform(8)));
+      if (rng->Uniform(2) == 1) u.set_phonemes(RandomBytes(rng, 12));
+      return Value::Uni(std::move(u));
+    }
+    case TypeId::kNull:
+      break;
+  }
+  return Value::Null();
 }
 
 class FuzzSmokeTest : public ::testing::TestWithParam<uint64_t> {};
@@ -105,8 +190,8 @@ TEST_P(FuzzSmokeTest, TupleCodecSurvivesTruncationOfValidTuples) {
   ASSERT_TRUE(TupleCodec::Serialize(schema, row, &bytes).ok());
   Row out;
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    const Status st =
-        TupleCodec::Deserialize(schema, bytes.substr(0, cut), &out);
+    const ExactBuffer prefix(std::string_view(bytes).substr(0, cut));
+    const Status st = TupleCodec::Deserialize(schema, prefix.view(), &out);
     EXPECT_FALSE(st.ok()) << "prefix of length " << cut << " decoded";
   }
   // Bit flips: decode either succeeds or errors, never crashes.
@@ -114,9 +199,81 @@ TEST_P(FuzzSmokeTest, TupleCodecSurvivesTruncationOfValidTuples) {
     std::string mutated = bytes;
     mutated[rng.Uniform(mutated.size())] ^=
         static_cast<char>(1 << rng.Uniform(8));
-    (void)TupleCodec::Deserialize(schema, mutated, &out);
+    (void)TupleCodec::Deserialize(schema, ExactBuffer(mutated).view(), &out);
   }
   SUCCEED();
+}
+
+// The key peek the Psi scan runs on every heap record gets the same
+// treatment as Deserialize: every strict prefix of a valid tuple fails
+// (the key is last, so each cut removes bytes the peek must read), and a
+// bit-flipped tuple either fails or yields views inside its buffer.
+TEST_P(FuzzSmokeTest, PeekUniTextSurvivesTruncationAndBitFlips) {
+  Rng rng(GetParam() ^ 0x3e3eULL);
+  for (const TypeId key_type : {TypeId::kUniText, TypeId::kText}) {
+    const Schema schema = PeekSchema(key_type);
+    const size_t key = schema.NumColumns() - 1;
+    std::string bytes;
+    ASSERT_TRUE(TupleCodec::Serialize(schema, PeekRow(key_type), &bytes).ok());
+    UniTextColumnView view;
+    ASSERT_TRUE(
+        TupleCodec::PeekUniText(schema, ExactBuffer(bytes).view(), key, &view)
+            .ok());
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+      const ExactBuffer prefix(std::string_view(bytes).substr(0, cut));
+      EXPECT_FALSE(
+          TupleCodec::PeekUniText(schema, prefix.view(), key, &view).ok())
+          << "prefix of length " << cut << " peeked";
+    }
+    for (int iter = 0; iter < 300; ++iter) {
+      std::string mutated = bytes;
+      mutated[rng.Uniform(mutated.size())] ^=
+          static_cast<char>(1 << rng.Uniform(8));
+      const ExactBuffer buf(mutated);
+      if (TupleCodec::PeekUniText(schema, buf.view(), key, &view).ok()) {
+        EXPECT_TRUE(buf.Contains(view.text));
+        EXPECT_TRUE(buf.Contains(view.phonemes));
+      }
+    }
+  }
+}
+
+// PeekUniText is a second decoder of the tuple format; on every valid row
+// it must see exactly the key Deserialize materializes.
+TEST_P(FuzzSmokeTest, PeekUniTextAgreesWithDeserialize) {
+  Rng rng(GetParam() ^ 0x9eefULL);
+  for (const TypeId key_type : {TypeId::kUniText, TypeId::kText}) {
+    const Schema schema = PeekSchema(key_type);
+    const size_t key = schema.NumColumns() - 1;
+    for (int iter = 0; iter < 200; ++iter) {
+      Row row;
+      for (size_t i = 0; i < schema.NumColumns(); ++i) {
+        row.push_back(RandomValue(&rng, schema.column(i).type));
+      }
+      std::string bytes;
+      ASSERT_TRUE(TupleCodec::Serialize(schema, row, &bytes).ok());
+      const ExactBuffer buf(bytes);
+      Row decoded;
+      ASSERT_TRUE(TupleCodec::Deserialize(schema, buf.view(), &decoded).ok());
+      ASSERT_EQ(decoded.size(), row.size());
+      UniTextColumnView view;
+      ASSERT_TRUE(TupleCodec::PeekUniText(schema, buf.view(), key, &view).ok());
+      const Value& want = decoded[key];
+      ASSERT_EQ(view.is_null, want.is_null());
+      if (want.is_null()) continue;
+      if (key_type == TypeId::kText) {
+        EXPECT_EQ(view.text, want.text());
+        EXPECT_EQ(view.lang, 0);
+        EXPECT_FALSE(view.has_phonemes);
+        continue;
+      }
+      const UniText& u = want.unitext();
+      EXPECT_EQ(view.text, u.text());
+      EXPECT_EQ(view.lang, u.lang());
+      ASSERT_EQ(view.has_phonemes, u.has_phonemes());
+      if (u.has_phonemes()) EXPECT_EQ(view.phonemes, *u.phonemes());
+    }
+  }
 }
 
 // Hand-crafted malformed UTF-8: overlong encodings, surrogate halves,
@@ -268,6 +425,22 @@ TEST_P(FuzzSmokeTest, UdfWireDecoderNeverCrashes) {
     (void)pl::UdfRuntime::DeserializeArgs(RandomBytes(&rng, 64));
   }
   SUCCEED();
+}
+
+// A valid UDF wire payload cut anywhere short of its end fails with
+// Corruption: the count promises every argument, so each cut removes
+// bytes the decoder must read.
+TEST(UdfWireAdversarialTest, TruncatedPayloadsAreCorruption) {
+  const std::string wire = pl::UdfRuntime::SerializeArgs(
+      {pl::PlValue(), pl::PlValue(true), pl::PlValue(int64_t{-42}),
+       pl::PlValue(2.5), pl::PlValue(std::string("svara"))});
+  ASSERT_TRUE(pl::UdfRuntime::DeserializeArgs(ExactBuffer(wire).view()).ok());
+  for (size_t cut = 0; cut < wire.size(); ++cut) {
+    const ExactBuffer prefix(std::string_view(wire).substr(0, cut));
+    EXPECT_TRUE(
+        pl::UdfRuntime::DeserializeArgs(prefix.view()).status().IsCorruption())
+        << "prefix of length " << cut;
+  }
 }
 
 // The lint toolchain (lexer -> declaration parser -> per-function CFGs ->

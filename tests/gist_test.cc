@@ -28,10 +28,9 @@ struct IntervalOps : public GistOps {
     return key;
   }
   static std::pair<int32_t, int32_t> Parse(std::string_view key) {
-    uint32_t lo = 0, hi = 0;
     Decoder dec(key);
-    (void)dec.GetU32(&lo);
-    (void)dec.GetU32(&hi);
+    const uint32_t lo = dec.U32();
+    const uint32_t hi = dec.U32();
     return {static_cast<int32_t>(lo), static_cast<int32_t>(hi)};
   }
 
@@ -91,6 +90,61 @@ TEST_F(GistTest, EmptyTreeFindsNothing) {
   ASSERT_TRUE(tree->Search(query, [&](const GistEntry&) { ++hits; }).ok());
   EXPECT_EQ(hits, 0);
   EXPECT_EQ(tree->height(), 1u);
+}
+
+// Leaf and internal entries decode through the latching Decoder: each
+// round-trips unchanged through a search, and every strict prefix of a
+// root entry surfaces as Corruption from the search that reads it.
+TEST_F(GistTest, EntriesRoundTripAndTruncationsAreCorruption) {
+  // 3 points stay in a root leaf; 800 overflow one node, so the root
+  // becomes internal.
+  for (const uint32_t n : {3u, 800u}) {
+    auto build = [&]() -> StatusOr<GistTree> {
+      MURAL_ASSIGN_OR_RETURN(GistTree tree, GistTree::Create(&pool_, &ops_));
+      for (uint32_t i = 0; i < n; ++i) {
+        const auto p = static_cast<int32_t>(i * 7);
+        MURAL_RETURN_IF_ERROR(tree.Insert(IntervalOps::Make(p, p),
+                                          Rid{i, static_cast<SlotId>(i % 5)}));
+      }
+      return tree;
+    };
+    GistQuery everything;
+    everything.key = IntervalOps::Make(INT32_MIN, INT32_MAX);
+    auto tree = build();
+    ASSERT_TRUE(tree.ok());
+    EXPECT_EQ(tree->height() > 1, n > 3);
+    std::set<uint32_t> seen;
+    ASSERT_TRUE(tree->Search(everything, [&](const GistEntry& e) {
+      EXPECT_EQ(e.key, IntervalOps::Make(static_cast<int32_t>(e.rid.page * 7),
+                                         static_cast<int32_t>(e.rid.page * 7)));
+      EXPECT_EQ(e.rid.slot, e.rid.page % 5);
+      EXPECT_EQ(e.child, kInvalidPage);
+      seen.insert(e.rid.page);
+    }).ok());
+    EXPECT_EQ(seen.size(), n);
+
+    std::string record;
+    {
+      auto root = pool_.Fetch(tree->root());
+      ASSERT_TRUE(root.ok());
+      auto rec = (*root)->Get(0);
+      ASSERT_TRUE(rec.ok());
+      record = rec->ToString();
+    }
+    for (size_t cut = 0; cut < record.size(); ++cut) {
+      auto fresh = build();
+      ASSERT_TRUE(fresh.ok());
+      {
+        auto root = pool_.FetchForWrite(fresh->root());
+        ASSERT_TRUE(root.ok());
+        ASSERT_TRUE((*root)->Update(0, Slice(record.data(), cut)).ok());
+        root->MarkDirty();
+      }
+      const Status st = fresh->Search(everything, [](const GistEntry&) {});
+      EXPECT_TRUE(st.IsCorruption())
+          << "n=" << n << " cut=" << cut << ": " << st.ToString();
+    }
+  }
 }
 
 TEST_F(GistTest, PointQueriesMatchBruteForce) {

@@ -722,15 +722,23 @@ void CollectEdgesFromLex(const std::string& path, const LexResult& lexed,
 }  // namespace
 
 std::vector<std::string> CollectBlockingMarkers(std::string_view content) {
+  return CollectBlockingMarkers(Lex(content));
+}
+
+std::vector<std::string> CollectBlockingMarkers(const LexResult& lexed) {
   std::vector<std::string> names;
-  CollectBlockingFromLex(Lex(content), &names);
+  CollectBlockingFromLex(lexed, &names);
   return names;
 }
 
 std::vector<LockOrderEdge> CollectLockOrderEdges(const std::string& rel_path,
                                                  std::string_view content) {
+  return CollectLockOrderEdges(rel_path, Lex(content));
+}
+
+std::vector<LockOrderEdge> CollectLockOrderEdges(const std::string& rel_path,
+                                                 const LexResult& lexed) {
   std::vector<LockOrderEdge> edges;
-  const LexResult lexed = Lex(content);
   CollectEdgesFromLex(rel_path, lexed, &edges);
   return edges;
 }
@@ -794,8 +802,24 @@ std::vector<Violation> LintFile(const std::string& rel_path,
   return LintFile(rel_path, content, LintOptions());
 }
 
+LexResult TimedLex(std::string_view content, RuleTimings* timings) {
+  if (timings == nullptr) return Lex(content);
+  const auto t0 = std::chrono::steady_clock::now();
+  LexResult lexed = Lex(content);
+  const auto t1 = std::chrono::steady_clock::now();
+  (*timings)["lex"] +=
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
+  return lexed;
+}
+
 std::vector<Violation> LintFile(const std::string& rel_path,
                                 std::string_view content,
+                                const LintOptions& options) {
+  return LintFile(rel_path, TimedLex(content, options.timings), options);
+}
+
+std::vector<Violation> LintFile(const std::string& rel_path,
+                                const LexResult& lexed,
                                 const LintOptions& options) {
   std::vector<Violation> out;
   // Per-rule wall time, accumulated into options.timings when the caller
@@ -812,8 +836,6 @@ std::vector<Violation> LintFile(const std::string& rel_path,
     (*options.timings)[key] +=
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
   };
-  LexResult lexed;
-  timed("lex", [&] { lexed = Lex(content); });
   const Toks& t = lexed.tokens;
   // The file's own `// lint: blocking` markers always apply, on top of
   // whatever the driver's cross-file pass collected.

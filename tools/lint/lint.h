@@ -99,6 +99,8 @@
 #include <string_view>
 #include <vector>
 
+#include "lexer.h"
+
 namespace mural::lint {
 
 struct LayerConfig;  // layers.h
@@ -161,12 +163,17 @@ std::string StripCommentsAndStrings(std::string_view src);
 ///                                 like the libc fsync family)
 /// For the first two forms the banned name is the identifier immediately
 /// before the first '(' on the marked declaration line.
+/// The LexResult overloads of the pass-1 collectors let the driver lex
+/// each file once and share the tokens across every pass.
 std::vector<std::string> CollectBlockingMarkers(std::string_view content);
+std::vector<std::string> CollectBlockingMarkers(const LexResult& lexed);
 
 /// Pass 1: every lock-order edge declared in `content` via
 /// ACQUIRED_BEFORE / ACQUIRED_AFTER attributes.
 std::vector<LockOrderEdge> CollectLockOrderEdges(const std::string& rel_path,
                                                  std::string_view content);
+std::vector<LockOrderEdge> CollectLockOrderEdges(const std::string& rel_path,
+                                                 const LexResult& lexed);
 
 /// Pass 2 companion to CollectLockOrderEdges: checks the merged edge set
 /// for contradictions (a cycle, including self-edges) and returns one
@@ -182,6 +189,14 @@ std::vector<Violation> LintFile(const std::string& rel_path,
 std::vector<Violation> LintFile(const std::string& rel_path,
                                 std::string_view content,
                                 const LintOptions& options);
+/// The same over tokens the caller already lexed from the file.
+std::vector<Violation> LintFile(const std::string& rel_path,
+                                const LexResult& lexed,
+                                const LintOptions& options);
+
+/// Lex(content), adding its CPU time to (*timings)["lex"] when `timings`
+/// is set (the --timings breakdown).
+LexResult TimedLex(std::string_view content, RuleTimings* timings);
 
 /// Formats "file:line: [rule] message".
 std::string FormatViolation(const Violation& v);

@@ -72,6 +72,7 @@ struct SourceFile {
 /// Everything pass 1 learns about one file; filled concurrently, one slot
 /// per source, merged single-threaded afterwards.
 struct ParsedFile {
+  mural::lint::LexResult lexed;  // views into the SourceFile's content
   std::vector<std::string> blocking;
   std::vector<mural::lint::LockOrderEdge> edges;
   mural::lint::FileSymbols symbols;
@@ -326,20 +327,28 @@ int main(int argc, char** argv) {
   // excluded: disk speed is not what the gate protects).
   const auto analysis_start = std::chrono::steady_clock::now();
 
-  // Pass 1: parse every file once, concurrently; each morsel writes its
-  // own slots, so the merge below needs no locking.
+  // Each file gets its own timing slot so the morsels never share one.
+  std::vector<mural::lint::RuleTimings> timing_slots(
+      timings ? sources.size() : 0);
+  auto timing_slot = [&timing_slots, timings](size_t i) {
+    return timings ? &timing_slots[i] : nullptr;
+  };
+
+  // Pass 1: lex and parse every file once, concurrently; each morsel
+  // writes its own slots, so the merge below needs no locking.  The
+  // tokens are kept for pass 2.
   std::vector<ParsedFile> parsed(sources.size());
   mural::Status p1 = mural::ParallelMorsels(
       &pool, sources.size(), /*morsel_size=*/8, dop,
-      [&sources, &parsed](size_t, size_t begin, size_t end) {
+      [&sources, &parsed, &timing_slot](size_t, size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
           const SourceFile& src = sources[i];
           ParsedFile& slot = parsed[i];
-          slot.blocking = mural::lint::CollectBlockingMarkers(src.content);
+          slot.lexed = mural::lint::TimedLex(src.content, timing_slot(i));
+          slot.blocking = mural::lint::CollectBlockingMarkers(slot.lexed);
           slot.edges =
-              mural::lint::CollectLockOrderEdges(src.label, src.content);
-          slot.symbols =
-              mural::lint::ParseFileSymbols(src.label, src.content);
+              mural::lint::CollectLockOrderEdges(src.label, slot.lexed);
+          slot.symbols = mural::lint::ParseFileSymbols(src.label, slot.lexed);
         }
         return mural::Status::OK();
       });
@@ -370,19 +379,16 @@ int main(int argc, char** argv) {
   if (have_layers) options.layers = &layers;
 
   // Pass 2: per-file rules with the merged inputs, then the global graph.
-  // Each file gets its own timing slot so the morsels never share one.
   std::vector<std::vector<mural::lint::Violation>> per_file(sources.size());
-  std::vector<mural::lint::RuleTimings> timing_slots(
-      timings ? sources.size() : 0);
   mural::Status p2 = mural::ParallelMorsels(
       &pool, sources.size(), /*morsel_size=*/8, dop,
-      [&sources, &per_file, &options, &timing_slots,
-       timings](size_t, size_t begin, size_t end) {
+      [&sources, &parsed, &per_file, &options,
+       &timing_slot](size_t, size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
           mural::lint::LintOptions file_options = options;
-          if (timings) file_options.timings = &timing_slots[i];
-          per_file[i] = mural::lint::LintFile(
-              sources[i].label, sources[i].content, file_options);
+          file_options.timings = timing_slot(i);
+          per_file[i] = mural::lint::LintFile(sources[i].label,
+                                              parsed[i].lexed, file_options);
         }
         return mural::Status::OK();
       });
