@@ -3,6 +3,7 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <utility>
 
@@ -127,33 +128,58 @@ Status ParallelMorsels(
   // metrics-determinism tests rely on this.
   MorselsRunCounter()->Add(num_morsels);
 
-  auto run_strip = [&, num_morsels](size_t strip, size_t stride) {
-    for (size_t m = strip; m < num_morsels; m += stride) {
+  // Strips claim morsels from one shared counter, so a strip that finishes
+  // early takes more morsels instead of idling while a slow one works
+  // through a fixed share.  A failed morsel stops all further claims.
+  struct StripResult {
+    size_t morsel;  // the failing morsel; num_morsels when none failed
+    Status status;
+  };
+  std::atomic<size_t> next_morsel{0};
+  std::atomic<bool> failed{false};
+  auto run_strip = [&, num_morsels]() -> StripResult {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const size_t m = next_morsel.fetch_add(1, std::memory_order_relaxed);
+      if (m >= num_morsels) break;
       const size_t begin = m * morsel_size;
       const size_t end = std::min(count, begin + morsel_size);
-      MURAL_RETURN_IF_ERROR(fn(m, begin, end));
+      Status status = fn(m, begin, end);
+      if (!status.ok()) {
+        failed.store(true, std::memory_order_relaxed);
+        return {m, std::move(status)};
+      }
     }
-    return Status::OK();
+    return {num_morsels, Status::OK()};
   };
 
   const size_t strips =
       std::min<size_t>(dop <= 1 ? 1 : static_cast<size_t>(dop), num_morsels);
-  if (pool == nullptr || strips <= 1) return run_strip(0, 1);
+  if (pool == nullptr || strips <= 1) return run_strip().status;
 
   // Strip 0 runs on the calling thread so a dop-way loop occupies only
   // dop - 1 pool workers (and still makes progress on a saturated pool).
   std::vector<std::future<Status>> futures;
+  std::vector<StripResult> results(strips, {num_morsels, Status::OK()});
   futures.reserve(strips - 1);
   for (size_t s = 1; s < strips; ++s) {
-    futures.push_back(
-        pool->Submit([&run_strip, s, strips] { return run_strip(s, strips); }));
+    futures.push_back(pool->Submit([&run_strip, &results, s] {
+      results[s] = run_strip();
+      return Status::OK();
+    }));
   }
-  Status first_error = run_strip(0, strips);
+  results[0] = run_strip();
+  Status pool_error = Status::OK();
   for (std::future<Status>& future : futures) {
     Status status = future.get();
-    if (first_error.ok() && !status.ok()) first_error = std::move(status);
+    if (pool_error.ok() && !status.ok()) pool_error = std::move(status);
   }
-  return first_error;
+  // The lowest-numbered failing morsel's error, whichever strip ran it.
+  StripResult* first = &results[0];
+  for (StripResult& r : results) {
+    if (r.morsel < first->morsel) first = &r;
+  }
+  if (!first->status.ok()) return std::move(first->status);
+  return pool_error;
 }
 
 }  // namespace mural

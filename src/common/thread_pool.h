@@ -71,15 +71,17 @@ class ThreadPool {
 
 /// Morsel-driven parallel loop: partitions [0, count) into fixed-size
 /// morsels and processes them with `dop` concurrent strips on `pool`.
-/// Strip s handles morsels s, s + dop, s + 2*dop, ... so the assignment of
-/// morsels to strips is deterministic; callers that write results into a
-/// per-morsel slot get bit-identical output regardless of scheduling.
+/// Morsel m always covers [m * morsel_size, min(count, (m+1) * morsel_size)),
+/// whichever strip runs it; strips claim the next unclaimed morsel from a
+/// shared counter, so a fast strip takes more morsels.  Callers that write
+/// results into a per-morsel slot get bit-identical output regardless of
+/// scheduling.
 ///
 /// `fn(morsel_index, begin, end)` is invoked once per morsel, concurrently
 /// across strips but sequentially within one strip.  Runs inline on the
 /// calling thread when `pool` is null, `dop` <= 1, or there is a single
-/// morsel.  Returns the error of the lowest-numbered failing strip (a
-/// strip stops at its first error).
+/// morsel.  A failed morsel stops further claims; the call returns the
+/// error of the lowest-numbered failing morsel.
 [[nodiscard]] Status ParallelMorsels(
     ThreadPool* pool, size_t count, size_t morsel_size, int dop,
     const std::function<Status(size_t morsel_index, size_t begin,

@@ -1,8 +1,12 @@
 #include "exec/mural_ops.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <span>
+#include <string_view>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "catalog/tuple_codec.h"
@@ -139,6 +143,162 @@ std::string LexSelectOp::DisplayName() const {
   return out;
 }
 
+namespace {
+
+/// Ephemeral pigeonhole index over a Psi join's inner keys at threshold k
+/// (Li et al., "Pass-Join", VLDB 2011).  A key of length l is cut into k+1
+/// segments; a key within edit distance k of it spends its edits in at
+/// most k of them, so one segment reappears exactly in the probe, at a
+/// shift Pass-Join's multi-match window bounds.  Candidates() looks up
+/// only those substrings, so the join verifies a superset of its matches
+/// rather than every pair: a hash collision adds a candidate, and a length
+/// difference above k is itself a distance above k.
+///
+/// Keys whose segments would be shorter than kMinSegment phonemes (every
+/// key shorter than k+1 among them) filter poorly or not at all; they sit
+/// on an always-verify list per length, which every probe in the length
+/// window takes whole.
+class PsiJoinIndex {
+ public:
+  static constexpr size_t kMinSegment = 2;
+
+  PsiJoinIndex(const std::vector<PhonemeString>& keys,
+               const std::vector<bool>& valid, int k)
+      : k_(static_cast<size_t>(k)),
+        segments_(k_ + 1),
+        min_segmented_(kMinSegment * segments_) {
+    std::vector<std::pair<uint64_t, uint32_t>> entries;  // (key, inner id)
+    for (uint32_t id = 0; id < keys.size(); ++id) {
+      if (!valid[id]) continue;
+      const std::string_view key = keys[id];
+      const size_t l = key.size();
+      if (l >= by_length_.size()) by_length_.resize(l + 1);
+      if (l < min_segmented_) {
+        by_length_[l].verify_all.push_back(id);
+        continue;
+      }
+      by_length_[l].indexed = true;
+      for (size_t i = 0; i < segments_; ++i) {
+        const Segment seg = SegmentOf(l, i);
+        entries.emplace_back(SegmentKey(key.substr(seg.start, seg.len), l, i),
+                             id);
+      }
+    }
+    // Sorted by (key, id): each posting list comes out ascending.
+    std::sort(entries.begin(), entries.end());
+    size_t capacity = 16;
+    while (capacity < 2 * entries.size()) capacity *= 2;
+    buckets_.resize(capacity);
+    postings_.reserve(entries.size());
+    for (size_t e = 0; e < entries.size();) {
+      const uint64_t key = entries[e].first;
+      Bucket bucket{key, static_cast<uint32_t>(postings_.size()), 0};
+      for (; e < entries.size() && entries[e].first == key; ++e) {
+        postings_.push_back(entries[e].second);
+      }
+      bucket.end = static_cast<uint32_t>(postings_.size());
+      size_t h = key & (capacity - 1);
+      while (buckets_[h].end != 0) h = (h + 1) & (capacity - 1);
+      buckets_[h] = bucket;
+    }
+  }
+
+  /// Sets `*out` to the ascending ids of every inner key that may lie
+  /// within distance k of `probe`.  `stamp` holds one entry per inner key
+  /// and dedups across segments: entries equal to `tag` are taken, so each
+  /// call needs a tag no earlier call on the same `stamp` used.
+  void Candidates(std::string_view probe, uint32_t tag,
+                  std::vector<uint32_t>* stamp,
+                  std::vector<uint32_t>* out) const {
+    out->clear();
+    const size_t len = probe.size();
+    // Inner lengths within k of the probe's, up to the longest inner key.
+    const size_t end = std::min(len + k_ + 1, by_length_.size());
+    for (size_t l = len > k_ ? len - k_ : 0; l < end; ++l) {
+      const LengthBucket& bucket = by_length_[l];
+      out->insert(out->end(), bucket.verify_all.begin(),
+                  bucket.verify_all.end());
+      if (!bucket.indexed) continue;
+      // Pass-Join's multi-match-aware window: segment i shifts by at most
+      // i (the edits before it) and by at most k - i from the length
+      // difference (the edits after it).
+      const ptrdiff_t delta =
+          static_cast<ptrdiff_t>(len) - static_cast<ptrdiff_t>(l);
+      for (size_t i = 0; i < segments_; ++i) {
+        const Segment seg = SegmentOf(l, i);
+        const ptrdiff_t p = static_cast<ptrdiff_t>(seg.start);
+        const ptrdiff_t before = static_cast<ptrdiff_t>(i);
+        const ptrdiff_t after = static_cast<ptrdiff_t>(k_ - i);
+        const ptrdiff_t first =
+            std::max({p - before, p + delta - after, ptrdiff_t{0}});
+        const ptrdiff_t last =
+            std::min({p + before, p + delta + after,
+                      static_cast<ptrdiff_t>(len) -
+                          static_cast<ptrdiff_t>(seg.len)});
+        for (ptrdiff_t at = first; at <= last; ++at) {
+          const std::string_view sub =
+              probe.substr(static_cast<size_t>(at), seg.len);
+          for (const uint32_t id : Find(SegmentKey(sub, l, i))) {
+            if ((*stamp)[id] == tag) continue;
+            (*stamp)[id] = tag;
+            out->push_back(id);
+          }
+        }
+      }
+    }
+    std::sort(out->begin(), out->end());
+  }
+
+ private:
+  struct Segment {
+    size_t start, len;
+  };
+  struct Bucket {
+    uint64_t key = 0;
+    uint32_t begin = 0, end = 0;  // postings_ range; end == 0: empty slot
+  };
+
+  /// Pass-Join's even partition: the last l % (k+1) segments are one
+  /// phoneme longer than the others.
+  Segment SegmentOf(size_t l, size_t i) const {
+    const size_t base = l / segments_;
+    const size_t shorter = segments_ - l % segments_;
+    return {i * base + (i > shorter ? i - shorter : 0),
+            base + (i >= shorter ? 1 : 0)};
+  }
+
+  static uint64_t SegmentKey(std::string_view segment, size_t l, size_t i) {
+    return Hash64(segment, (static_cast<uint64_t>(l) << 32) | i);
+  }
+
+  std::span<const uint32_t> Find(uint64_t key) const {
+    const size_t mask = buckets_.size() - 1;
+    for (size_t h = key & mask; buckets_[h].end != 0; h = (h + 1) & mask) {
+      if (buckets_[h].key == key) {
+        return std::span<const uint32_t>(postings_).subspan(
+            buckets_[h].begin, buckets_[h].end - buckets_[h].begin);
+      }
+    }
+    return {};
+  }
+
+  /// The inner keys of one length: verified whole (below min_segmented_),
+  /// or indexed by segment.
+  struct LengthBucket {
+    std::vector<uint32_t> verify_all;
+    bool indexed = false;
+  };
+
+  size_t k_;
+  size_t segments_;
+  size_t min_segmented_;
+  std::vector<LengthBucket> by_length_;  // up to the longest inner key
+  std::vector<Bucket> buckets_;          // open addressing, power-of-two size
+  std::vector<uint32_t> postings_;
+};
+
+}  // namespace
+
 LexJoinOp::LexJoinOp(ExecContext* ctx, OpPtr outer, OpPtr inner,
                      size_t outer_col, size_t inner_col, Options options)
     : PhysicalOp(ctx),
@@ -159,9 +319,6 @@ LexJoinOp::LexJoinOp(ExecContext* ctx, OpPtr outer, OpPtr inner,
 }
 
 Status LexJoinOp::OpenImpl() {
-  inner_rows_.clear();
-  inner_phonemes_.clear();
-  inner_valid_.clear();
   results_.clear();
   result_pos_ = 0;
   const int k = options_.threshold >= 0 ? options_.threshold
@@ -170,35 +327,42 @@ Status LexJoinOp::OpenImpl() {
   const size_t morsel = std::max<size_t>(1, options_.morsel_size);
 
   // Drain the inner (build) side; children are not thread-safe.
+  std::vector<Row> inner_rows;
+  std::vector<bool> inner_valid;
   MURAL_RETURN_IF_ERROR(inner_->Open());
   Row row;
   while (true) {
     MURAL_ASSIGN_OR_RETURN(const bool more, inner_->Next(&row));
     if (!more) break;
-    inner_valid_.push_back(!row[inner_col_].is_null());
-    inner_rows_.push_back(row);
+    inner_valid.push_back(!row[inner_col_].is_null());
+    inner_rows.push_back(std::move(row));
   }
   MURAL_RETURN_IF_ERROR(inner_->Close());
 
-  // Build phase: convert the inner keys' phonemes in morsels.  Morsels own
-  // disjoint index ranges, so the writes to inner_phonemes_ never alias;
-  // each morsel gets its own context clone so stats accumulation is
-  // race-free (merged below, in order).
-  const size_t n_inner = inner_rows_.size();
-  inner_phonemes_.resize(n_inner);
+  // Build phase: convert the inner keys' phonemes in morsels, once for the
+  // whole join (§4.2: materializing them avoids repeated conversions during
+  // join processing).  Morsels own disjoint index ranges, so the writes to
+  // inner_phonemes never alias; each morsel gets its own context clone so
+  // stats accumulation is race-free (merged below, in order).
+  const size_t n_inner = inner_rows.size();
+  std::vector<PhonemeString> inner_phonemes(n_inner);
   const size_t build_morsels = (n_inner + morsel - 1) / morsel;
   std::vector<ExecContext> build_ctxs(build_morsels, ctx_->WorkerClone());
   MURAL_RETURN_IF_ERROR(ParallelMorsels(
       ctx_->thread_pool, n_inner, morsel, dop,
-      [this, &build_ctxs](size_t m, size_t begin, size_t end) {
+      [this, &build_ctxs, &inner_rows, &inner_valid, &inner_phonemes](
+          size_t m, size_t begin, size_t end) {
         ExecContext* wctx = &build_ctxs[m];
         for (size_t i = begin; i < end; ++i) {
-          if (!inner_valid_[i]) continue;
-          MURAL_ASSIGN_OR_RETURN(inner_phonemes_[i],
-                                 PhonemesOf(inner_rows_[i][inner_col_], wctx));
+          if (!inner_valid[i]) continue;
+          MURAL_ASSIGN_OR_RETURN(inner_phonemes[i],
+                                 PhonemesOf(inner_rows[i][inner_col_], wctx));
         }
         return Status::OK();
       }));
+  // A negative threshold admits no pair: every distance is >= 0.
+  if (k < 0) std::fill(inner_valid.begin(), inner_valid.end(), false);
+  const PsiJoinIndex index(inner_phonemes, inner_valid, std::max(k, 0));
 
   // Drain the outer (probe) side.
   MURAL_RETURN_IF_ERROR(outer_->Open());
@@ -206,39 +370,44 @@ Status LexJoinOp::OpenImpl() {
   while (true) {
     MURAL_ASSIGN_OR_RETURN(const bool more, outer_->Next(&row));
     if (!more) break;
-    outer_rows.push_back(row);
+    outer_rows.push_back(std::move(row));
   }
 
-  // Probe phase: each outer morsel joins against the whole inner side into
-  // its own result slot.  The outer row's phonemes are looked up once and
-  // prepared once as a matcher, which every inner key then runs against.
+  // Probe phase: each outer morsel joins against the index into its own
+  // result slot.  The outer row's phonemes are looked up once; a matcher
+  // is prepared only for a row with candidates, and verifies them in
+  // inner order.
   const size_t n_outer = outer_rows.size();
   const size_t probe_morsels = (n_outer + morsel - 1) / morsel;
   std::vector<std::vector<Row>> slots(probe_morsels);
   std::vector<ExecContext> probe_ctxs(probe_morsels, ctx_->WorkerClone());
   MURAL_RETURN_IF_ERROR(ParallelMorsels(
       ctx_->thread_pool, n_outer, morsel, dop,
-      [this, k, &outer_rows, &slots, &probe_ctxs](size_t m, size_t begin,
-                                                  size_t end) {
+      [this, k, n_inner, &index, &outer_rows, &inner_rows, &inner_phonemes,
+       &slots, &probe_ctxs](size_t m, size_t begin, size_t end) {
         ExecContext* wctx = &probe_ctxs[m];
         std::vector<Row>* slot = &slots[m];
+        std::vector<uint32_t> stamp(n_inner, 0);
+        std::vector<uint32_t> candidates;
         for (size_t o = begin; o < end; ++o) {
           const Value& v = outer_rows[o][outer_col_];
           if (v.is_null()) continue;
           MURAL_ASSIGN_OR_RETURN(const PhonemeString outer_ph,
                                  PhonemesOf(v, wctx));
+          // Row o's tag is o - begin + 1: unique within the morsel, never 0.
+          index.Candidates(outer_ph, static_cast<uint32_t>(o - begin + 1),
+                           &stamp, &candidates);
+          if (candidates.empty()) continue;
           BoundedMyersMatcher matcher(outer_ph, k);
-          for (size_t i = 0; i < inner_rows_.size(); ++i) {
-            if (!inner_valid_[i]) continue;
+          for (const uint32_t i : candidates) {
             ++wctx->stats.predicate_evals;
             const int d =
-                matcher.Distance(inner_phonemes_[i], &wctx->stats.distance);
+                matcher.Distance(inner_phonemes[i], &wctx->stats.distance);
             if (d > k) continue;
             Row out;
             out.reserve(schema_.NumColumns());
             out.insert(out.end(), outer_rows[o].begin(), outer_rows[o].end());
-            out.insert(out.end(), inner_rows_[i].begin(),
-                       inner_rows_[i].end());
+            out.insert(out.end(), inner_rows[i].begin(), inner_rows[i].end());
             if (options_.tag_distance) out.push_back(Value::Int32(d));
             slot->push_back(std::move(out));
           }
@@ -260,8 +429,10 @@ Status LexJoinOp::OpenImpl() {
     ctx_->stats.Merge(probe_ctxs[m].stats);
     cache_hits_ += probe_ctxs[m].stats.phoneme_cache_hits;
     cache_misses_ += probe_ctxs[m].stats.phoneme_cache_misses;
+    verified_ += probe_ctxs[m].stats.predicate_evals;
     for (Row& r : slots[m]) results_.push_back(std::move(r));
   }
+  ran_ = true;
   return Status::OK();
 }
 
@@ -273,9 +444,6 @@ StatusOr<bool> LexJoinOp::NextImpl(Row* out) {
 }
 
 Status LexJoinOp::CloseImpl() {
-  inner_rows_.clear();
-  inner_phonemes_.clear();
-  inner_valid_.clear();
   results_.clear();
   result_pos_ = 0;
   const Status outer_st = outer_->Close();
@@ -293,13 +461,17 @@ std::string LexJoinOp::DisplayName() const {
                               : ctx_->lexequal_threshold,
       options_.tag_distance ? ", tagged" : "");
   if (options_.dop > 1) name += StringFormat(", dop=%d", options_.dop);
-  // Cache counters exist only once Open has run, at every DOP; EXPLAIN
+  // Run counters exist only once Open has run, at every DOP; EXPLAIN
   // ANALYZE re-renders this name so they show up like the closure-cache
   // stats do, and a plain EXPLAIN shows none.
   if (cache_hits_ + cache_misses_ > 0) {
     name += StringFormat(", cache h=%llu m=%llu",
                          static_cast<unsigned long long>(cache_hits_),
                          static_cast<unsigned long long>(cache_misses_));
+  }
+  if (ran_) {
+    name += StringFormat(", verified=%llu",
+                         static_cast<unsigned long long>(verified_));
   }
   name += ")";
   return name;

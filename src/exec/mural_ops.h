@@ -103,10 +103,12 @@ struct LexJoinOptions {
   size_t morsel_size = 2048;
 };
 
-/// One build/probe path at every DOP: Open drains the inner child and
-/// converts its keys' phonemes in morsels, drains the outer child, and
-/// probes in morsels — each outer row prepares one BoundedMyersMatcher and
-/// runs it over the whole inner side.  Next replays the gathered result.
+/// One build/probe path at every DOP: Open drains the inner child,
+/// converts its keys' phonemes in morsels and builds an ephemeral
+/// pigeonhole index over them, drains the outer child, and probes in
+/// morsels — each outer row looks up its candidate inner keys and verifies
+/// only those, in inner order, with one BoundedMyersMatcher.  Next replays
+/// the gathered result.
 class LexJoinOp : public PhysicalOp {
  public:
   using Options = LexJoinOptions;
@@ -129,16 +131,12 @@ class LexJoinOp : public PhysicalOp {
   Options options_;
   Schema schema_;
 
-  // Materialized inner side with precomputed phoneme strings (§4.2: the
-  // materialization avoids repeated conversions during join processing).
-  std::vector<Row> inner_rows_;
-  std::vector<PhonemeString> inner_phonemes_;
-  std::vector<bool> inner_valid_;
-
   std::vector<Row> results_;
   size_t result_pos_ = 0;
   uint64_t cache_hits_ = 0;    // phoneme-cache lookups by this operator
   uint64_t cache_misses_ = 0;
+  uint64_t verified_ = 0;      // candidate pairs the kernel verified
+  bool ran_ = false;           // Open has completed at least once
 };
 
 /// Omega join: emits outer x inner pairs where the LHS value is subsumed

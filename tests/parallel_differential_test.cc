@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -76,6 +77,18 @@ uint64_t RenderedCacheLookups(const std::string& tree) {
     return 0;
   }
   return hits + misses;
+}
+
+// The `verified=N` count a plan tree renders; nullopt when no node
+// renders one.
+std::optional<uint64_t> RenderedVerified(const std::string& tree) {
+  const size_t at = tree.find("verified=");
+  if (at == std::string::npos) return std::nullopt;
+  unsigned long long verified = 0;
+  if (std::sscanf(tree.c_str() + at, "verified=%llu", &verified) != 1) {
+    return std::nullopt;
+  }
+  return verified;
 }
 
 // Seeded names as rows; `materialize` controls whether phoneme strings
@@ -685,14 +698,18 @@ TEST(PlannerDifferentialTest, JoinSweepProducesIdenticalResults) {
               .Build();
 
       std::vector<std::string> reference;
+      uint64_t reference_calls = 0;
       for (const int dop : kDops) {
         PlannerHints hints;
         hints.enable_mtree = false;
         hints.degree_of_parallelism = dop;
-        // A plan that has not run shows no cache counts at any DOP.
+        // A plan that has not run shows no cache or verified counts at
+        // any DOP.
         auto unrun = session->PlanQuery(plan, hints);
         ASSERT_TRUE(unrun.ok());
         EXPECT_EQ(unrun->Explain().find("cache h="), std::string::npos)
+            << "dop=" << dop << "\n" << unrun->Explain();
+        EXPECT_EQ(RenderedVerified(unrun->Explain()), std::nullopt)
             << "dop=" << dop << "\n" << unrun->Explain();
         auto result = session->Query(plan, hints);
         ASSERT_TRUE(result.ok()) << "seed=" << seed << " dop=" << dop;
@@ -704,17 +721,26 @@ TEST(PlannerDifferentialTest, JoinSweepProducesIdenticalResults) {
         EXPECT_EQ(RenderedCacheLookups(result->explain_analyze), lookups)
             << "seed=" << seed << " dop=" << dop << "\n"
             << result->explain_analyze;
+        // The filtered join renders the pairs it verified: one kernel call
+        // each, the same count at every DOP.
+        EXPECT_EQ(RenderedVerified(result->explain_analyze),
+                  std::optional<uint64_t>(result->exec_stats.distance.calls))
+            << "seed=" << seed << " dop=" << dop << "\n"
+            << result->explain_analyze;
         if (dop == 1) {
           EXPECT_EQ(result->explain.find("dop="), std::string::npos)
               << result->explain;
           reference = Sorted(RenderAll(result->rows));
           ASSERT_FALSE(reference.empty());
+          reference_calls = result->exec_stats.distance.calls;
         } else {
           EXPECT_NE(result->explain.find("dop=" + std::to_string(dop)),
                     std::string::npos)
               << "seed=" << seed << " dop=" << dop << "\n"
               << result->explain;
           EXPECT_EQ(Sorted(RenderAll(result->rows)), reference)
+              << "seed=" << seed << " dop=" << dop;
+          EXPECT_EQ(result->exec_stats.distance.calls, reference_calls)
               << "seed=" << seed << " dop=" << dop;
         }
       }

@@ -1,6 +1,7 @@
 // Unit tests for the worker pool behind morsel-parallel execution:
 // submit/wait/shutdown, exception-to-Status propagation, and the
-// deterministic ParallelMorsels strip scheduler.
+// ParallelMorsels scheduler, whose strips claim morsels from a shared
+// counter while every morsel keeps its fixed index range.
 
 #include "common/thread_pool.h"
 
@@ -149,6 +150,35 @@ TEST(ParallelMorselsTest, FirstErrorWins) {
       });
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.ToString().find("failed"), std::string::npos);
+}
+
+TEST(ParallelMorselsTest, LowestFailingMorselsErrorWins) {
+  // Claims are handed out in index order and a claimed morsel always runs,
+  // so morsel 3 fails on every schedule and its error is the one returned.
+  ThreadPool pool(4);
+  for (int dop : {1, 2, 4, 8}) {
+    const Status s = ParallelMorsels(
+        &pool, 1000, 10, dop, [](size_t m, size_t, size_t) {
+          if (m == 3) return Status::InvalidArgument("morsel 3 failed");
+          if (m == 40) return Status::InvalidArgument("morsel 40 failed");
+          return Status::OK();
+        });
+    EXPECT_NE(s.ToString().find("morsel 3 failed"), std::string::npos)
+        << "dop=" << dop << ": " << s.ToString();
+  }
+}
+
+TEST(ParallelMorselsTest, FailureStopsFurtherClaims) {
+  // Inline, the one strip stops at the failing morsel.
+  int calls = 0;
+  const Status s = ParallelMorsels(
+      nullptr, 1000, 10, /*dop=*/1, [&calls](size_t m, size_t, size_t) {
+        ++calls;
+        if (m == 5) return Status::InvalidArgument("stop");
+        return Status::OK();
+      });
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(calls, 6);
 }
 
 }  // namespace
