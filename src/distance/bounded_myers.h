@@ -43,8 +43,8 @@ int MyersBlockLevenshtein(std::string_view a, std::string_view b);
 /// the 256-entry Peq table is built once at construction, so each
 /// Distance() call runs only the column loop.  That is the per-row cost
 /// that matters in the Psi operators, where one key is compared against
-/// many: LexSelectOp prepares the probe once per morsel, LexJoinOp each
-/// outer key once for the whole inner side.
+/// many: a keyed SeqScanOp prepares the probe once per morsel, LexJoinOp
+/// each outer key once for the whole inner side.
 ///
 /// Results and DistanceStats accounting are contractually identical to
 /// `BoundedDistanceCounted(pattern, text, k, stats)` (the distance is

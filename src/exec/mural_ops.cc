@@ -10,138 +10,9 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "catalog/tuple_codec.h"
+#include "distance/bounded_myers.h"
 
 namespace mural {
-
-LexSelectOp::LexSelectOp(ExecContext* ctx, const TableInfo* table,
-                         size_t key_col, Value probe, int threshold_override,
-                         ExprPtr residual, int dop, size_t morsel_pages)
-    : PhysicalOp(ctx),
-      table_(table),
-      key_col_(key_col),
-      probe_(std::move(probe)),
-      threshold_override_(threshold_override),
-      residual_(std::move(residual)),
-      dop_(dop < 1 ? 1 : dop),
-      morsel_pages_(morsel_pages == 0 ? kDefaultMorselPages : morsel_pages) {}
-
-Status LexSelectOp::OpenImpl() {
-  results_.clear();
-  result_pos_ = 0;
-  if (probe_.is_null()) return Status::OK();  // NULL never matches
-  const int k = threshold_override_ >= 0 ? threshold_override_
-                                         : ctx_->lexequal_threshold;
-  // Hoisted once per scan: one phoneme lookup for the probe, however many
-  // morsels share it.
-  MURAL_ASSIGN_OR_RETURN(const PhonemeString probe_phonemes,
-                         PhonemesOf(probe_, ctx_));
-
-  const size_t n = table_->heap->pages().size();
-  const size_t num_morsels =
-      n == 0 ? 0 : (n + morsel_pages_ - 1) / morsel_pages_;
-  std::vector<std::vector<Row>> slots(num_morsels);
-  std::vector<ExecContext> worker_ctxs(num_morsels, ctx_->WorkerClone());
-  MURAL_RETURN_IF_ERROR(ParallelMorsels(
-      ctx_->thread_pool, n, morsel_pages_, dop_,
-      [this, k, &probe_phonemes, &slots, &worker_ctxs](
-          size_t m, size_t begin, size_t end) {
-        return ScanPages(begin, end, k, probe_phonemes, &worker_ctxs[m],
-                         &slots[m]);
-      }));
-
-  // Gather: flatten slots in morsel-index order (= page chain order) and
-  // merge stats the same way.
-  size_t total = 0;
-  for (const std::vector<Row>& slot : slots) total += slot.size();
-  results_.reserve(total);
-  for (size_t m = 0; m < num_morsels; ++m) {
-    ctx_->stats.Merge(worker_ctxs[m].stats);
-    for (Row& r : slots[m]) results_.push_back(std::move(r));
-  }
-  return Status::OK();
-}
-
-Status LexSelectOp::ScanPages(size_t begin, size_t end, int k,
-                              const PhonemeString& probe_phonemes,
-                              ExecContext* wctx, std::vector<Row>* slot) {
-  // The matcher pre-builds the kernel's Peq table for the probe, leaving
-  // only the column loop as per-row work.  It keeps scratch state, so each
-  // morsel prepares its own.
-  BoundedMyersMatcher matcher(probe_phonemes, k);
-  const Schema& schema = table_->schema;
-  const bool plain_text = schema.column(key_col_).type == TypeId::kText;
-  BufferPool* pool = table_->heap->pool();
-  const std::vector<PageId>& pages = table_->heap->pages();
-  UniTextColumnView view;
-  for (size_t p = begin; p < end; ++p) {
-    // One Fetch and one shared latch per page; records are matched in
-    // place from the page bytes and deserialized only on a hit.
-    MURAL_ASSIGN_OR_RETURN(const ReadPageGuard guard, pool->Fetch(pages[p]));
-    const Page* page = guard.get();
-    for (SlotId s = 0; s < page->NumSlots(); ++s) {
-      StatusOr<Slice> record = page->Get(s);
-      if (!record.ok()) continue;  // tombstone
-      MURAL_RETURN_IF_ERROR(TupleCodec::PeekUniText(
-          schema, record->ToStringView(), key_col_, &view));
-      if (view.is_null) continue;  // NULL never matches (SQL WHERE)
-      ++wctx->stats.predicate_evals;
-      int d;
-      if (view.has_phonemes) {
-        d = matcher.Distance(view.phonemes, &wctx->stats.distance);
-      } else {
-        const PhonemeString ph = TransformPhonemesCounted(
-            view.text, plain_text ? lang::kEnglish : view.lang, wctx);
-        d = matcher.Distance(ph, &wctx->stats.distance);
-      }
-      if (d > k) continue;
-      Row row;
-      MURAL_RETURN_IF_ERROR(
-          TupleCodec::Deserialize(schema, record->ToStringView(), &row));
-      if (residual_ != nullptr) {
-        MURAL_ASSIGN_OR_RETURN(const bool pass,
-                               EvalPredicate(*residual_, row, wctx));
-        if (!pass) continue;
-      }
-      slot->push_back(std::move(row));
-    }
-  }
-  return Status::OK();
-}
-
-StatusOr<bool> LexSelectOp::NextImpl(Row* out) {
-  if (result_pos_ >= results_.size()) return false;
-  *out = std::move(results_[result_pos_++]);
-  CountRow();
-  return true;
-}
-
-StatusOr<bool> LexSelectOp::NextBatchImpl(RowBatch* out) {
-  while (result_pos_ < results_.size() && !out->full()) {
-    *out->PushRow() = std::move(results_[result_pos_++]);
-  }
-  CountRows(out->num_selected());
-  return result_pos_ < results_.size() || !out->empty();
-}
-
-Status LexSelectOp::CloseImpl() {
-  results_.clear();
-  result_pos_ = 0;
-  return Status::OK();
-}
-
-std::string LexSelectOp::DisplayName() const {
-  std::string out = "LexSelect(" + table_->name + "." +
-                    table_->schema.column(key_col_).name + " LexEQUAL " +
-                    probe_.ToString();
-  if (threshold_override_ >= 0) {
-    out += StringFormat(" {t=%d}", threshold_override_);
-  }
-  if (residual_ != nullptr) out += " AND " + residual_->ToString();
-  out += StringFormat(", batch=%zu", ctx_->batch_size);
-  if (dop_ > 1) out += StringFormat(", dop=%d", dop_);
-  out += ")";
-  return out;
-}
 
 namespace {
 

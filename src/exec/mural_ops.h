@@ -1,7 +1,6 @@
-// Physical operators for the multilingual algebra (paper §3.2, §4):
-//
-//  - LexSelectOp (Psi scan): the Psi(col, constant) selection fused into
-//    a morsel-parallel heap scan.
+// Physical operators for the multilingual algebra (paper §3.2, §4).  The
+// Psi(col, constant) selection is not here: it is pushed into the one
+// heap-scan leaf, SeqScanOp (exec/scan_ops.h).
 //
 //  - LexJoinOp (Psi join): phoneme-space approximate join.  The algebraic
 //    Psi tags every pair of the Cartesian product with the phonemic edit
@@ -24,68 +23,10 @@
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "distance/bounded_myers.h"
 #include "exec/expression.h"
 #include "exec/operator.h"
 
 namespace mural {
-
-/// Psi selection pushed into the scan: the one Psi scan leaf, a fused
-/// heap-scan + LexEQUAL filter that runs at any DOP and batch size.
-///
-/// The probe constant's phonemes are hoisted once at Open.  Workers claim
-/// page-range morsels over the heap's page directory (ParallelMorsels;
-/// inline at DOP 1) and scan them through read guards: per record they
-/// peek only the key column out of the serialized tuple
-/// (TupleCodec::PeekUniText, zero-copy), run a BoundedMyersMatcher
-/// prepared once per morsel, and deserialize the full row only for matches
-/// (late materialization).  `residual` carries the predicate's other
-/// top-level conjuncts (e.g. a LangIn) and is evaluated on matched rows
-/// only.
-///
-/// Determinism: each morsel filters into its own result slot under its own
-/// WorkerClone() context; the gather concatenates slots and merges stats
-/// in morsel order, so rows, their order, and ExecStats do not depend on
-/// DOP.  Next and NextBatch both replay the gathered rows.
-class LexSelectOp : public PhysicalOp {
- public:
-  /// Pages per morsel.  A page holds on the order of 10^2 name rows, so
-  /// even a handful of pages amortizes the worker hand-off.
-  static constexpr size_t kDefaultMorselPages = 4;
-
-  /// `threshold_override` < 0 means "use ctx->lexequal_threshold".
-  /// `residual` may be null.  `dop` > 1 with a thread pool in the context
-  /// runs the morsels on the pool.
-  LexSelectOp(ExecContext* ctx, const TableInfo* table, size_t key_col,
-              Value probe, int threshold_override = -1,
-              ExprPtr residual = nullptr, int dop = 1,
-              size_t morsel_pages = kDefaultMorselPages);
-
-  [[nodiscard]] Status OpenImpl() override;
-  [[nodiscard]] StatusOr<bool> NextImpl(Row* out) override;
-  [[nodiscard]] StatusOr<bool> NextBatchImpl(RowBatch* out) override;
-  [[nodiscard]] Status CloseImpl() override;
-  const Schema& output_schema() const override { return table_->schema; }
-  std::string DisplayName() const override;
-
- private:
-  /// Scans heap pages [begin, end) into `slot`: key peek + kernel, then
-  /// deserialization and the residual on matches only.
-  [[nodiscard]] Status ScanPages(size_t begin, size_t end, int k,
-                                 const PhonemeString& probe_phonemes,
-                                 ExecContext* wctx, std::vector<Row>* slot);
-
-  const TableInfo* table_;
-  size_t key_col_;
-  Value probe_;
-  int threshold_override_;
-  ExprPtr residual_;
-  int dop_;
-  size_t morsel_pages_;
-
-  std::vector<Row> results_;
-  size_t result_pos_ = 0;
-};
 
 /// Psi join: matches outer.col_left with inner.col_right under the
 /// phonemic edit-distance threshold.

@@ -1,48 +1,153 @@
 #include "exec/scan_ops.h"
 
+#include <utility>
+
 #include "catalog/tuple_codec.h"
+#include "common/string_util.h"
+#include "common/thread_pool.h"
+#include "distance/bounded_myers.h"
 
 namespace mural {
 
+SeqScanOp::SeqScanOp(ExecContext* ctx, const TableInfo* table,
+                     std::optional<PsiScanKey> key, ExprPtr residual,
+                     int dop, size_t morsel_pages)
+    : PhysicalOp(ctx),
+      table_(table),
+      key_(std::move(key)),
+      residual_(std::move(residual)),
+      dop_(dop < 1 ? 1 : dop),
+      morsel_pages_(morsel_pages == 0 ? kDefaultMorselPages : morsel_pages) {}
+
 Status SeqScanOp::OpenImpl() {
-  it_.emplace(table_->heap->Begin());
+  results_.clear();
+  result_pos_ = 0;
+  int k = 0;
+  PhonemeString probe_phonemes;
+  if (key_.has_value()) {
+    if (key_->probe.is_null()) return Status::OK();  // NULL never matches
+    k = key_->threshold_override >= 0 ? key_->threshold_override
+                                      : ctx_->lexequal_threshold;
+    // Hoisted once per scan: one phoneme lookup for the probe, however
+    // many morsels share it.
+    MURAL_ASSIGN_OR_RETURN(probe_phonemes, PhonemesOf(key_->probe, ctx_));
+  }
+  const PhonemeString* probe = key_.has_value() ? &probe_phonemes : nullptr;
+
+  const size_t n = table_->heap->pages().size();
+  const size_t num_morsels =
+      n == 0 ? 0 : (n + morsel_pages_ - 1) / morsel_pages_;
+  std::vector<std::vector<Row>> slots(num_morsels);
+  std::vector<ExecContext> worker_ctxs(num_morsels, ctx_->WorkerClone());
+  MURAL_RETURN_IF_ERROR(ParallelMorsels(
+      ctx_->thread_pool, n, morsel_pages_, dop_,
+      [this, k, probe, &slots, &worker_ctxs](size_t m, size_t begin,
+                                             size_t end) {
+        return ScanPages(begin, end, k, probe, &worker_ctxs[m], &slots[m]);
+      }));
+
+  // Gather: flatten slots in morsel-index order (= page chain order) and
+  // merge stats the same way.
+  size_t total = 0;
+  for (const std::vector<Row>& slot : slots) total += slot.size();
+  results_.reserve(total);
+  for (size_t m = 0; m < num_morsels; ++m) {
+    ctx_->stats.Merge(worker_ctxs[m].stats);
+    for (Row& r : slots[m]) results_.push_back(std::move(r));
+  }
+  return Status::OK();
+}
+
+Status SeqScanOp::ScanPages(size_t begin, size_t end, int k,
+                            const PhonemeString* probe_phonemes,
+                            ExecContext* wctx, std::vector<Row>* slot) {
+  // The matcher pre-builds the kernel's Peq table for the probe, leaving
+  // only the column loop as per-row work.  It keeps scratch state, so each
+  // morsel prepares its own.
+  std::optional<BoundedMyersMatcher> matcher;
+  if (probe_phonemes != nullptr) matcher.emplace(*probe_phonemes, k);
+  const Schema& schema = table_->schema;
+  const bool plain_text =
+      key_.has_value() && schema.column(key_->col).type == TypeId::kText;
+  BufferPool* pool = table_->heap->pool();
+  const std::vector<PageId>& pages = table_->heap->pages();
+  UniTextColumnView view;
+  for (size_t p = begin; p < end; ++p) {
+    // One Fetch and one shared latch per page; records are read in place
+    // from the page bytes and deserialized only when they pass the key.
+    MURAL_ASSIGN_OR_RETURN(const ReadPageGuard guard, pool->Fetch(pages[p]));
+    const Page* page = guard.get();
+    for (SlotId s = 0; s < page->NumSlots(); ++s) {
+      StatusOr<Slice> record = page->Get(s);
+      if (!record.ok()) continue;  // tombstone
+      if (matcher.has_value()) {
+        MURAL_RETURN_IF_ERROR(TupleCodec::PeekUniText(
+            schema, record->ToStringView(), key_->col, &view));
+        if (view.is_null) continue;  // NULL never matches (SQL WHERE)
+        ++wctx->stats.predicate_evals;
+        int d;
+        if (view.has_phonemes) {
+          d = matcher->Distance(view.phonemes, &wctx->stats.distance);
+        } else {
+          const PhonemeString ph = TransformPhonemesCounted(
+              view.text, plain_text ? lang::kEnglish : view.lang, wctx);
+          d = matcher->Distance(ph, &wctx->stats.distance);
+        }
+        if (d > k) continue;
+      }
+      Row row;
+      MURAL_RETURN_IF_ERROR(
+          TupleCodec::Deserialize(schema, record->ToStringView(), &row));
+      if (residual_ != nullptr) {
+        MURAL_ASSIGN_OR_RETURN(const bool pass,
+                               EvalPredicate(*residual_, row, wctx));
+        if (!pass) continue;
+      }
+      slot->push_back(std::move(row));
+    }
+  }
   return Status::OK();
 }
 
 StatusOr<bool> SeqScanOp::NextImpl(Row* out) {
-  while (it_->Valid()) {
-    const std::string& record = it_->record();
-    MURAL_RETURN_IF_ERROR(
-        TupleCodec::Deserialize(table_->schema, record, out));
-    it_->Next();
-    CountRow();
-    return true;
-  }
-  MURAL_RETURN_IF_ERROR(it_->status());
-  return false;
-}
-
-StatusOr<bool> SeqScanOp::NextBatchImpl(RowBatch* out) {
-  // Native batch scan: fills the batch directly from the heap iterator,
-  // skipping the per-row virtual dispatch and span bookkeeping of the
-  // tuple path.
-  while (it_->Valid() && !out->full()) {
-    Row* slot = out->PushRow();
-    MURAL_RETURN_IF_ERROR(
-        TupleCodec::Deserialize(table_->schema, it_->record(), slot));
-    it_->Next();
-  }
-  CountRows(out->num_selected());
-  if (!it_->Valid()) {
-    MURAL_RETURN_IF_ERROR(it_->status());
-    return !out->empty();
-  }
+  if (result_pos_ >= results_.size()) return false;
+  *out = std::move(results_[result_pos_++]);
+  CountRow();
   return true;
 }
 
+StatusOr<bool> SeqScanOp::NextBatchImpl(RowBatch* out) {
+  while (result_pos_ < results_.size() && !out->full()) {
+    *out->PushRow() = std::move(results_[result_pos_++]);
+  }
+  CountRows(out->num_selected());
+  return result_pos_ < results_.size() || !out->empty();
+}
+
 Status SeqScanOp::CloseImpl() {
-  it_.reset();
+  results_.clear();
+  result_pos_ = 0;
   return Status::OK();
+}
+
+std::string SeqScanOp::DisplayName() const {
+  if (!key_.has_value()) {
+    std::string out = "SeqScan(" + table_->name + ")";
+    if (residual_ != nullptr) out += " WHERE " + residual_->ToString();
+    if (dop_ > 1) out += StringFormat(" dop=%d", dop_);
+    return out;
+  }
+  std::string out = "LexSelect(" + table_->name + "." +
+                    table_->schema.column(key_->col).name + " LexEQUAL " +
+                    key_->probe.ToString();
+  if (key_->threshold_override >= 0) {
+    out += StringFormat(" {t=%d}", key_->threshold_override);
+  }
+  if (residual_ != nullptr) out += " AND " + residual_->ToString();
+  out += StringFormat(", batch=%zu", ctx_->batch_size);
+  if (dop_ > 1) out += StringFormat(", dop=%d", dop_);
+  out += ")";
+  return out;
 }
 
 std::string IndexProbe::ToString() const {

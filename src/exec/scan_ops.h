@@ -1,9 +1,12 @@
-// Scan operators: sequential heap scans and index scans (B-Tree equality /
-// range probes, M-Tree metric probes, MDI candidate probes with recheck).
+// Scan operators: the one heap-scan leaf (SeqScanOp, which also carries
+// the Psi selection pushed into the scan, paper §4.2) and index scans
+// (B-Tree equality / range probes, M-Tree metric probes, MDI candidate
+// probes with recheck).
 
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "exec/expression.h"
@@ -11,24 +14,68 @@
 
 namespace mural {
 
-/// Full scan over a table's heap.
+/// The Psi(col, constant) conjunct a keyed scan matches before it
+/// deserializes a row.
+struct PsiScanKey {
+  size_t col = 0;
+  Value probe;
+  /// < 0: use ctx->lexequal_threshold.
+  int threshold_override = -1;
+};
+
+/// The one heap-scan leaf, at any DOP and batch size: a plain scan, a
+/// scan with a residual predicate, and the Psi scan (with a key) are the
+/// same page walk.
+///
+/// Workers claim page-range morsels over the heap's page directory
+/// (ParallelMorsels; inline at DOP 1) and read records in place through
+/// one read guard per page.  Per record, a keyed scan first peeks only the
+/// key column out of the serialized tuple (TupleCodec::PeekUniText,
+/// zero-copy) and runs a BoundedMyersMatcher prepared once per morsel on
+/// the probe's phonemes, hoisted once at Open; rows that pass are
+/// deserialized and then filtered by `residual` (late materialization).
+///
+/// The scan materializes at Open.  Determinism: each morsel filters into
+/// its own result slot under its own WorkerClone() context; the gather
+/// concatenates slots and merges stats in morsel order, so rows, their
+/// order, and ExecStats do not depend on DOP.  Next and NextBatch both
+/// replay the gathered rows.
 class SeqScanOp : public PhysicalOp {
  public:
-  SeqScanOp(ExecContext* ctx, const TableInfo* table)
-      : PhysicalOp(ctx), table_(table) {}
+  /// Pages per morsel.  A page holds on the order of 10^2 name rows, so
+  /// even a handful of pages amortizes the worker hand-off.
+  static constexpr size_t kDefaultMorselPages = 4;
+
+  /// `residual` may be null.  `dop` > 1 with a thread pool in the context
+  /// runs the morsels on the pool.
+  SeqScanOp(ExecContext* ctx, const TableInfo* table,
+            std::optional<PsiScanKey> key = std::nullopt,
+            ExprPtr residual = nullptr, int dop = 1,
+            size_t morsel_pages = kDefaultMorselPages);
 
   [[nodiscard]] Status OpenImpl() override;
   [[nodiscard]] StatusOr<bool> NextImpl(Row* out) override;
   [[nodiscard]] StatusOr<bool> NextBatchImpl(RowBatch* out) override;
   [[nodiscard]] Status CloseImpl() override;
   const Schema& output_schema() const override { return table_->schema; }
-  std::string DisplayName() const override {
-    return "SeqScan(" + table_->name + ")";
-  }
+  /// "LexSelect(...)" for a keyed scan, "SeqScan(T)" otherwise.
+  std::string DisplayName() const override;
 
  private:
+  /// Scans heap pages [begin, end) into `slot`.  `probe_phonemes` is null
+  /// for an unkeyed scan.
+  [[nodiscard]] Status ScanPages(size_t begin, size_t end, int k,
+                                 const PhonemeString* probe_phonemes,
+                                 ExecContext* wctx, std::vector<Row>* slot);
+
   const TableInfo* table_;
-  std::optional<HeapFile::Iterator> it_;
+  std::optional<PsiScanKey> key_;
+  ExprPtr residual_;
+  int dop_;
+  size_t morsel_pages_;
+
+  std::vector<Row> results_;
+  size_t result_pos_ = 0;
 };
 
 /// What an index scan probes for.

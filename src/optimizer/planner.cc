@@ -1,6 +1,7 @@
 #include "optimizer/planner.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/string_util.h"
 
@@ -270,90 +271,81 @@ StatusOr<Planner::Planned> Planner::PlanScan(const LogicalNode& node,
   rel.pages = table->heap->num_pages();
   rel.avg_len = tstats != nullptr ? tstats->avg_row_len : 64.0;
 
-  Planned seq;
-  seq.base_table = table;
-  seq.base_stats = tstats;
-  seq.rows = base_rows;
-  seq.cost = cost_model_.SeqScan(rel);
-  if (node.predicate == nullptr) {
-    seq.op = std::make_unique<SeqScanOp>(ctx_, table);
-    return seq;
-  }
-
-  // Selectivity of the full predicate.
-  double sel = estimator_.params().opaque_selectivity;
-  if (tstats != nullptr && !hints.opaque_multilingual) {
-    sel = estimator_.PredicateSelectivity(*node.predicate, *tstats,
-                                          table->schema, ctx_);
-  }
-  const double out_rows = std::max(1.0, base_rows * sel);
-
   Planned best;
   best.base_table = table;
   best.base_stats = tstats;
-  best.rows = out_rows;
+  best.rows = base_rows;
   std::vector<ExprPtr> conjuncts;
-  FlattenConjuncts(node.predicate, &conjuncts);
-
-  // --- the Psi scan leaf: LexSelect whenever a top-level conjunct is
-  // Psi(col, literal); the other conjuncts ride along as its residual.
-  // One cost formula: the batched Table-3 scan, divided across DOP when
-  // that is cheaper.
-  size_t psi_col = 0;
-  Value psi_const;
-  int psi_k_override = -1;
-  bool psi_leaf = false;
+  std::optional<PsiScanKey> key;
   ExprPtr residual;
-  if (!hints.opaque_multilingual) {
-    for (const ExprPtr& conjunct : conjuncts) {
-      if (!psi_leaf && MatchPsiConstant(*conjunct, &psi_col, &psi_const,
-                                        &psi_k_override)) {
-        psi_leaf = true;
-        continue;
+  // The one heap-scan leaf, costed per shape and then divided across DOP
+  // when that is cheaper.
+  Cost serial = cost_model_.SeqScan(rel);
+  if (node.predicate != nullptr) {
+    double sel = estimator_.params().opaque_selectivity;
+    if (tstats != nullptr && !hints.opaque_multilingual) {
+      sel = estimator_.PredicateSelectivity(*node.predicate, *tstats,
+                                            table->schema, ctx_);
+    }
+    best.rows = std::max(1.0, base_rows * sel);
+    FlattenConjuncts(node.predicate, &conjuncts);
+
+    // A Psi(col, literal) conjunct becomes the scan's key; the other
+    // conjuncts ride along as its residual.
+    if (!hints.opaque_multilingual) {
+      for (const ExprPtr& conjunct : conjuncts) {
+        PsiScanKey k;
+        if (!key.has_value() && MatchPsiConstant(*conjunct, &k.col, &k.probe,
+                                                 &k.threshold_override)) {
+          key = std::move(k);
+          continue;
+        }
+        residual = residual == nullptr ? conjunct : And(residual, conjunct);
       }
-      residual = residual == nullptr ? conjunct : And(residual, conjunct);
     }
-  }
-  if (psi_leaf) {
-    RelProfile psi_rel = rel;
-    const ColumnStats* cs =
-        tstats != nullptr ? tstats->Column(table->schema.column(psi_col).name)
-                          : nullptr;
-    psi_rel.avg_len = cs != nullptr && cs->avg_phoneme_len > 0
-                          ? cs->avg_phoneme_len
-                          : 12.0;
-    const int k =
-        psi_k_override >= 0 ? psi_k_override : ctx_->lexequal_threshold;
-    const Cost serial =
-        cost_model_.PsiScanBatched(psi_rel, k, ctx_->batch_size);
-    // Omega in the residual keeps the scan serial: the closure cache is
-    // not thread-safe.
-    int dop = residual != nullptr && ContainsOmega(*residual)
-                  ? 1
-                  : EffectiveDop(hints);
-    best.cost = cost_model_.Parallelize(serial, dop);
-    if (best.cost.total() >= serial.total()) {
-      best.cost = serial;
-      dop = 1;
-    }
-    best.op = std::make_unique<LexSelectOp>(ctx_, table, psi_col, psi_const,
-                                            psi_k_override, residual, dop);
-  } else {
-    // --- the generic path: Filter(SeqScan).  Psi predicates land here
-    // only when opaque (outside-the-server) or not of the Psi(col, literal)
-    // form (an OR, or Psi(col, col)).
-    if (!hints.opaque_multilingual && ContainsPsi(*node.predicate)) {
-      best.cost = cost_model_.PsiScanNoIndex(rel, ctx_->lexequal_threshold);
+    if (key.has_value()) {
+      // The batched Table-3 scan.
+      RelProfile psi_rel = rel;
+      const ColumnStats* cs =
+          tstats != nullptr
+              ? tstats->Column(table->schema.column(key->col).name)
+              : nullptr;
+      psi_rel.avg_len = cs != nullptr && cs->avg_phoneme_len > 0
+                            ? cs->avg_phoneme_len
+                            : 12.0;
+      const int k = key->threshold_override >= 0 ? key->threshold_override
+                                                 : ctx_->lexequal_threshold;
+      serial = cost_model_.PsiScanBatched(psi_rel, k, ctx_->batch_size);
     } else {
-      // Opaque Psi UDFs still run per row; the engine simply cannot model
-      // them.  Charging the generic operator cost only is exactly the
-      // mis-costing that makes outside-the-server plans poor (paper §5.3).
-      best.cost = cost_model_.SeqScan(rel);
-      best.cost.cpu += base_rows * cost_model_.params().cpu_operator_cost;
+      // No key: the whole predicate is the residual.  Psi lands here only
+      // when opaque (outside-the-server) or not of the Psi(col, literal)
+      // form (an OR, or Psi(col, col)).
+      residual = node.predicate;
+      if (!hints.opaque_multilingual && ContainsPsi(*node.predicate)) {
+        serial = cost_model_.PsiScanNoIndex(rel, ctx_->lexequal_threshold);
+      } else {
+        // Opaque Psi UDFs still run per row; the engine simply cannot
+        // model them.  Charging the generic operator cost only is exactly
+        // the mis-costing that makes outside-the-server plans poor (paper
+        // §5.3).
+        serial.cpu += base_rows * cost_model_.params().cpu_operator_cost;
+      }
     }
-    best.op = std::make_unique<FilterOp>(
-        ctx_, std::make_unique<SeqScanOp>(ctx_, table), node.predicate);
   }
+  // Omega in the residual keeps the scan serial: SemEqualExpr counts
+  // closure computations vs reuses from the shared cache's miss counter
+  // around each Get, and Get computes outside its lock, so at DOP > 1 the
+  // two counters would depend on how workers interleave.
+  int dop = residual != nullptr && ContainsOmega(*residual)
+                ? 1
+                : EffectiveDop(hints);
+  best.cost = cost_model_.Parallelize(serial, dop);
+  if (best.cost.total() >= serial.total()) {
+    best.cost = serial;
+    dop = 1;
+  }
+  best.op = std::make_unique<SeqScanOp>(ctx_, table, std::move(key),
+                                        std::move(residual), dop);
 
   // --- index scans over one indexable conjunct
   for (const ExprPtr& conjunct : conjuncts) {
@@ -381,7 +373,7 @@ StatusOr<Planner::Planned> Planner::PlanScan(const LogicalNode& node,
                            ? cs->avg_phoneme_len
                            : 12.0;
         Cost cost = cost_model_.PsiScanMTree(irel, k);
-        cost.cpu += out_rows * cost_model_.params().cpu_tuple_cost;
+        cost.cpu += best.rows * cost_model_.params().cpu_tuple_cost;
         if (cost.total() < best.cost.total()) {
           IndexProbe probe;
           probe.kind = IndexProbe::Kind::kWithin;
@@ -391,7 +383,6 @@ StatusOr<Planner::Planned> Planner::PlanScan(const LogicalNode& node,
           // predicate may carry more conjuncts (language filters); MDI is
           // approximate and always needs the recheck.
           best.cost = cost;
-          best.rows = out_rows;
           best.op = std::make_unique<IndexScanOp>(ctx_, table, index, probe,
                                                   node.predicate);
         }
@@ -415,7 +406,6 @@ StatusOr<Planner::Planned> Planner::PlanScan(const LogicalNode& node,
           probe.kind = IndexProbe::Kind::kEqual;
           probe.key = constant;
           best.cost = cost;
-          best.rows = out_rows;
           best.op = std::make_unique<IndexScanOp>(ctx_, table, index, probe,
                                                   node.predicate);
         }
@@ -513,10 +503,13 @@ StatusOr<Planner::Planned> Planner::PlanPsiJoin(const LogicalNode& node,
       dop > 1 && par_nlj_cost.total() < serial_nlj_cost.total();
   const Cost nlj_cost = parallel_wins ? par_nlj_cost : serial_nlj_cost;
 
-  // Index-nested-loop via an M-Tree on the right side's base table.
+  // Index-nested-loop via an M-Tree on the right side's base table.  The
+  // index join reads inner rows straight from the heap, so it stands in
+  // only for an unfiltered inner.
   const IndexInfo* mtree = nullptr;
   if (!hints.opaque_multilingual && hints.enable_mtree &&
-      r.base_table != nullptr) {
+      node.right->kind == LogicalKind::kScan &&
+      node.right->predicate == nullptr) {
     const std::string& col_name =
         r.op->output_schema().column(node.right_col).name;
     for (IndexInfo* index :

@@ -72,7 +72,8 @@ class Planner {
     OpPtr op;
     double rows = 0;
     Cost cost;
-    /// Set when the node is a bare table scan (enables index joins).
+    /// Set when the node reads one base table, filtered or not (its page
+    /// count feeds ProfileOf).
     const TableInfo* base_table = nullptr;
     /// Stats snapshot held for the planning pass (StatsCatalog::Get hands
     /// out immutable shared_ptr snapshots; a concurrent ANALYZE publishes

@@ -94,24 +94,6 @@ void BufferPool::ReadPageGuard::Release() {
   id_ = kInvalidPage;
 }
 
-BufferPool::WritePageGuard BufferPool::ReadPageGuard::Upgrade() && {
-  MURAL_DCHECK(Valid());
-  if (!Valid()) return WritePageGuard();
-  BufferPool* pool = pool_;
-  const size_t frame = frame_;
-  const PageId id = id_;
-  Frame& f = pool->frames_[frame];
-  // Swap latch modes while keeping the pin: the pin alone keeps the frame
-  // resident, so the page image cannot be evicted in the unlatched window
-  // — but another writer may modify it (see the header comment).
-  UnlatchShared(f.latch);
-  LatchExclusive(f.latch);
-  pool_ = nullptr;
-  page_ = nullptr;
-  id_ = kInvalidPage;
-  return WritePageGuard(pool, frame, id, f.page.get());
-}
-
 // ---------------------------------------------------------------------------
 // WritePageGuard
 

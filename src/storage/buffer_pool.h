@@ -152,7 +152,7 @@ class BufferPool {
 /// RAII shared (read) pin on a buffered page: holds the frame's latch
 /// shared for its lifetime and unpins on destruction.  Exposes only a
 /// const view — there is deliberately no MarkDirty here (a negative-
-/// compile test pins that down); use Upgrade() or FetchForWrite to write.
+/// compile test pins that down); use FetchForWrite to write.
 class BufferPool::ReadPageGuard {
  public:
   ReadPageGuard() = default;
@@ -169,12 +169,6 @@ class BufferPool::ReadPageGuard {
 
   /// Drops the shared latch, then the pin.
   void Release();
-
-  /// Trades the shared latch for the exclusive one without giving up the
-  /// pin.  NOT atomic: the latch is dropped and re-acquired, so another
-  /// writer may run in between — re-read any page state you derived
-  /// through the read guard before relying on it.
-  [[nodiscard]] WritePageGuard Upgrade() &&;
 
  private:
   friend class BufferPool;

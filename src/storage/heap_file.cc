@@ -34,12 +34,8 @@ StatusOr<Rid> HeapFile::Insert(Slice record) {
     return Status::InvalidArgument(
         "record exceeds half a page; TOAST-style overflow is out of scope");
   }
-  // The canonical Upgrade() append path: pin the tail under the shared
-  // latch, then trade it for the exclusive one.  Upgrade is not atomic,
-  // so the insert below re-runs against whatever state the page has after
-  // re-latching (under the single-writer discipline nothing intervenes).
-  MURAL_ASSIGN_OR_RETURN(ReadPageGuard probe, pool_->Fetch(last_page_));
-  WritePageGuard guard = std::move(probe).Upgrade();
+  MURAL_ASSIGN_OR_RETURN(WritePageGuard guard,
+                         pool_->FetchForWrite(last_page_));
   StatusOr<SlotId> slot = guard->Insert(record);
   if (!slot.ok()) {
     // Current tail is full: chain a fresh page.  Drop the tail latch

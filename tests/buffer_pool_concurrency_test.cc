@@ -64,8 +64,8 @@ Status Populate(BufferPool* pool, std::vector<PageId>* ids) {
 
 /// One worker: a deterministic LCG walk over the pages.  Mostly reads
 /// (verifying the birthmark), some in-place writes through the exclusive
-/// latch, a sprinkle of read->Upgrade() and FlushAll.  Any error must be a
-/// clean Status; under an armed disk only IOError is acceptable.
+/// latch, and a sprinkle of FlushAll.  Any error must be a clean Status;
+/// under an armed disk only IOError is acceptable.
 Status WorkerBody(BufferPool* pool, const std::vector<PageId>& ids, int seed,
                   bool faults_armed) {
   uint64_t rng = 0x9e3779b97f4a7c15ull * (seed + 1);
@@ -91,7 +91,7 @@ Status WorkerBody(BufferPool* pool, const std::vector<PageId>& ids, int seed,
       } else {
         status = guard.status();
       }
-    } else if (dice < 85) {
+    } else if (dice < 95) {
       // Exclusive write: same-length in-place update of the cell.
       StatusOr<WritePageGuard> guard = pool->FetchForWrite(id);
       if (guard.ok()) {
@@ -99,18 +99,6 @@ Status WorkerBody(BufferPool* pool, const std::vector<PageId>& ids, int seed,
         if (status.ok()) guard->MarkDirty();
       } else {
         status = guard.status();
-      }
-    } else if (dice < 95) {
-      // Read, then trade the shared latch for the exclusive one.
-      StatusOr<ReadPageGuard> probe = pool->Fetch(id);
-      if (probe.ok()) {
-        WritePageGuard guard = std::move(*probe).Upgrade();
-        if (guard.Valid()) {
-          status = guard->Update(1, Slice(Cell(next())));
-          if (status.ok()) guard.MarkDirty();
-        }
-      } else {
-        status = probe.status();
       }
     } else {
       status = pool->FlushAll();

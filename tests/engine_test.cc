@@ -315,16 +315,11 @@ TEST_F(EngineTest, BooksDatasetLoadsAndJoins) {
 TEST_F(EngineTest, ExplainAnalyzeReportsActualRows) {
   LoadNames(50, 3);
   ASSERT_TRUE(session_->Set("lexequal_threshold", 2).ok());
-  // The assertions below inspect a two-node Filter-over-SeqScan tree,
-  // which a Psi predicate plans only when opaque (outside-the-server).
-  PlannerHints opaque;
-  opaque.opaque_multilingual = true;
-  auto plan =
-      MuralBuilder::Scan("names",
-                         (*db_->catalog()->GetTable("names"))->schema)
-          .PsiSelect("name", names_[0].name)
-          .Build();
-  auto result = session_->Query(plan, opaque);
+  // The assertions below inspect a two-node tree: a Filter node over a
+  // bare scan (a scan's own predicate would fold into the scan leaf).
+  const LogicalPtr plan = LFilter(
+      LScan("names"), LexEq(Col(1, "name"), Lit(Value::Uni(names_[0].name))));
+  auto result = session_->Query(plan);
   ASSERT_TRUE(result.ok());
   // The analyzed plan carries per-operator actual row counts; the scan
   // line must report the full table, the filter line the result size.

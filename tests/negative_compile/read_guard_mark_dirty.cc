@@ -1,7 +1,7 @@
 // MUST NOT COMPILE — on any compiler, not just under the tsa preset.
 // ReadPageGuard deliberately has no MarkDirty(): dirtying a page requires
 // the frame's exclusive latch, which only WritePageGuard (via
-// FetchForWrite, NewPage, or ReadPageGuard::Upgrade) holds.  This file
+// FetchForWrite or NewPage) holds.  This file
 // calls MarkDirty on a read guard; the negative_compile_read_guard ctest
 // passes only on the compiler's "no member named MarkDirty" error.  If it
 // ever compiles, the read/write split of the guard API has been broken.

@@ -6,10 +6,11 @@
 // slots in morsel-index order.
 //
 // Two layers:
-//   1. Operator-level: LexSelectOp over a real table heap (workers claim
-//      page-range morsels and scan through read guards) against a
-//      Filter(SeqScan) reference, and LexJoinOp over seeded ValuesOp
-//      inputs, with small morsels so inputs span many morsels.
+//   1. Operator-level: the keyed SeqScanOp (the Psi scan leaf) over a real
+//      table heap (workers claim page-range morsels and scan through read
+//      guards) against a Filter(SeqScan) reference, and LexJoinOp over
+//      seeded ValuesOp inputs, with small morsels so inputs span many
+//      morsels.
 //   2. Planner-level: full Database queries under a degree_of_parallelism
 //      hint sweep, with datasets sized so the cost model actually picks
 //      the parallel plan at dop > 1.
@@ -194,9 +195,8 @@ TEST_F(OperatorDifferentialTest, LexSelectMatchesSerialFilter) {
           ctx.batch_size = batch;
           // One page per morsel: the heap spans several pages, so every
           // dop > 1 run splits the scan across many page-range morsels.
-          LexSelectOp scan(&ctx, table, /*key_col=*/1, Value::Uni(probe),
-                           /*threshold_override=*/2, /*residual=*/nullptr,
-                           dop, /*morsel_pages=*/1);
+          SeqScanOp scan(&ctx, table, PsiScanKey{1, Value::Uni(probe), 2},
+                         /*residual=*/nullptr, dop, /*morsel_pages=*/1);
           StatusOr<std::vector<Row>> actual = CollectAll(&scan);
           ASSERT_TRUE(actual.ok()) << "seed=" << seed << " dop=" << dop;
           // Bit-identical including order (morsel-order gather follows
@@ -240,7 +240,7 @@ TEST_F(OperatorDifferentialTest, LexSelectResidualMatchesSerialFilter) {
   // Without the residual the leaf returns more: the language filter is
   // doing work, so the comparison below is not vacuous.
   ExecContext psi_ctx = MakeCtx(1);
-  LexSelectOp psi_only(&psi_ctx, table, 1, Value::Uni(probe), 2);
+  SeqScanOp psi_only(&psi_ctx, table, PsiScanKey{1, Value::Uni(probe), 2});
   StatusOr<std::vector<Row>> unfiltered = CollectAll(&psi_only);
   ASSERT_TRUE(unfiltered.ok());
   ASSERT_GT(unfiltered->size(), expected->size());
@@ -249,8 +249,8 @@ TEST_F(OperatorDifferentialTest, LexSelectResidualMatchesSerialFilter) {
     for (const size_t batch : kBatches) {
       ExecContext ctx = MakeCtx(dop);
       ctx.batch_size = batch;
-      LexSelectOp scan(&ctx, table, 1, Value::Uni(probe), 2, residual(), dop,
-                       /*morsel_pages=*/1);
+      SeqScanOp scan(&ctx, table, PsiScanKey{1, Value::Uni(probe), 2},
+                     residual(), dop, /*morsel_pages=*/1);
       StatusOr<std::vector<Row>> actual = CollectAll(&scan);
       ASSERT_TRUE(actual.ok()) << "dop=" << dop;
       EXPECT_EQ(RenderAll(*actual), RenderAll(*expected))
@@ -287,14 +287,14 @@ TEST_F(OperatorDifferentialTest, LexSelectSkipsNullKeysAtEveryDop) {
 
   for (const int dop : kDops) {
     ExecContext ctx = MakeCtx(dop);
-    LexSelectOp scan(&ctx, table, 1, probe, 2, nullptr, dop, 1);
+    SeqScanOp scan(&ctx, table, PsiScanKey{1, probe, 2}, nullptr, dop, 1);
     StatusOr<std::vector<Row>> actual = CollectAll(&scan);
     ASSERT_TRUE(actual.ok()) << "dop=" << dop;
     EXPECT_EQ(RenderAll(*actual), RenderAll(*expected)) << "dop=" << dop;
 
     ExecContext null_ctx = MakeCtx(dop);
-    LexSelectOp null_probe(&null_ctx, table, 1, Value::Null(), 2, nullptr,
-                           dop, 1);
+    SeqScanOp null_probe(&null_ctx, table, PsiScanKey{1, Value::Null(), 2},
+                         nullptr, dop, 1);
     StatusOr<std::vector<Row>> none = CollectAll(&null_probe);
     ASSERT_TRUE(none.ok()) << "dop=" << dop;
     EXPECT_TRUE(none->empty()) << "dop=" << dop;
@@ -454,9 +454,8 @@ TEST_F(OperatorDifferentialTest, TraceTreeAndMergedMetricsAreDopInvariant) {
     const uint64_t lookups0 = hits->value() + misses->value();
     const uint64_t morsels0 = morsels->value();
     ExecContext ctx = MakeCtx(dop);
-    LexSelectOp scan(&ctx, table, /*key_col=*/1, Value::Uni(probe),
-                     /*threshold_override=*/2, /*residual=*/nullptr, dop,
-                     /*morsel_pages=*/1);
+    SeqScanOp scan(&ctx, table, PsiScanKey{1, Value::Uni(probe), 2},
+                   /*residual=*/nullptr, dop, /*morsel_pages=*/1);
     StatusOr<std::vector<Row>> rows = CollectAll(&scan);
     ASSERT_TRUE(rows.ok()) << "dop=" << dop;
     TraceOptions opts;
@@ -518,9 +517,8 @@ TEST_F(OperatorDifferentialTest, LexSelectBatchMatchesTuplePathExactly) {
         ExecContext ctx = MakeCtx(dop);
         ctx.phoneme_cache = &disabled;
         ctx.batch_size = batch;
-        LexSelectOp op(&ctx, table, /*key_col=*/1, Value::Uni(probe),
-                       /*threshold_override=*/-1, /*residual=*/nullptr, dop,
-                       /*morsel_pages=*/1);
+        SeqScanOp op(&ctx, table, PsiScanKey{1, Value::Uni(probe)},
+                     /*residual=*/nullptr, dop, /*morsel_pages=*/1);
         StatusOr<std::vector<Row>> rows = CollectAll(&op);
         EXPECT_TRUE(rows.ok()) << "seed=" << seed << " dop=" << dop
                                << " batch=" << batch;
@@ -582,9 +580,8 @@ TEST_F(OperatorDifferentialTest, BatchBoundaryStraddlingMatches) {
   auto run = [&](size_t batch) {
     ExecContext ctx = MakeCtx(1);
     ctx.batch_size = batch;
-    LexSelectOp op(&ctx, *table_or, /*key_col=*/1,
-                   Value::Uni(UniText("nira", lang::kEnglish)),
-                   /*threshold_override=*/1);
+    SeqScanOp op(&ctx, *table_or,
+                 PsiScanKey{1, Value::Uni(UniText("nira", lang::kEnglish)), 1});
     StatusOr<std::vector<Row>> rows = CollectAll(&op);
     EXPECT_TRUE(rows.ok()) << "batch=" << batch;
     return RenderAll(*rows);
@@ -751,7 +748,7 @@ TEST(PlannerDifferentialTest, JoinSweepProducesIdenticalResults) {
 TEST(PlannerDifferentialTest, BatchSweepProducesIdenticalResults) {
   // Full-query differential over SET batch_size x degree_of_parallelism:
   // every combination must return the same rows as the outside-the-server
-  // oracle (opaque predicate, Filter over SeqScan), and the distance-kernel
+  // oracle (opaque predicate, an unkeyed scan), and the distance-kernel
   // call count must be plan-shape-invariant (one bounded call per non-null
   // key on every path).
   for (const uint64_t seed : kSeeds) {
@@ -815,8 +812,11 @@ TEST(PlannerDifferentialTest, BatchSweepProducesIdenticalResults) {
 }
 
 TEST(PlannerDifferentialTest, PsiAndOmegaScanStaysSerial) {
-  // Omega in the residual pins the Psi leaf to DOP 1 (the closure cache is
-  // not thread-safe), even where the Psi conjunct alone plans parallel.
+  // Omega in the residual pins the scan leaf to DOP 1, keyed or not, even
+  // where the same leaf without it plans parallel: SemEqualExpr counts
+  // closure computations vs reuses from the shared cache's miss counter
+  // around each Get, and Get computes outside its lock, so at DOP > 1 the
+  // two counters would depend on how workers interleave.
   auto db_or = MakeNamesDatabase(/*bases=*/1600, /*variants=*/3, 42,
                                  /*materialize=*/true);
   ASSERT_TRUE(db_or.ok());
@@ -872,6 +872,39 @@ TEST(PlannerDifferentialTest, PsiAndOmegaScanStaysSerial) {
         << "dop=" << dop << "\n" << result->explain;
     EXPECT_EQ(RenderAll(result->rows), RenderAll(oracle->rows))
         << "dop=" << dop;
+  }
+
+  // The residual-only Omega scan (the semequal_scan shape): the same leaf
+  // with a non-Omega residual plans parallel, the Omega one never does.
+  const LogicalPtr id_scan =
+      MuralBuilder::Scan("names", schema)
+          .Select(Cmp(CompareOp::kGe, Col(0, "id"), Lit(Value::Int32(0))))
+          .Build();
+  hints.degree_of_parallelism = 4;
+  auto id_par = session->Query(id_scan, hints);
+  ASSERT_TRUE(id_par.ok());
+  ASSERT_NE(id_par->explain.find("dop=4"), std::string::npos)
+      << id_par->explain;
+
+  const LogicalPtr omega_only =
+      MuralBuilder::Scan("names", schema)
+          .Select(SemEq(Col(1, "name"), Lit(Value::Uni(probe))))
+          .Build();
+  std::vector<std::string> serial_rows;
+  for (const int dop : kDops) {
+    hints.degree_of_parallelism = dop;
+    auto result = session->Query(omega_only, hints);
+    ASSERT_TRUE(result.ok()) << "dop=" << dop;
+    EXPECT_NE(result->explain.find("SeqScan("), std::string::npos)
+        << result->explain;
+    EXPECT_EQ(result->explain.find("dop="), std::string::npos)
+        << "dop=" << dop << "\n" << result->explain;
+    if (dop == 1) {
+      serial_rows = RenderAll(result->rows);
+      ASSERT_FALSE(serial_rows.empty());
+    } else {
+      EXPECT_EQ(RenderAll(result->rows), serial_rows) << "dop=" << dop;
+    }
   }
 }
 

@@ -8,7 +8,7 @@
 // across ALL tasks, and each task's engine stack (disk -> fault-injection
 // wrapper -> buffer pool -> catalog) is itself shared between that task's
 // nested morsel workers — BufferPool and Catalog are thread-safe since
-// the latched page-guard redesign, and the nested-parallel LexSelect scans
+// the latched page-guard redesign, and the nested-parallel Psi scan reads
 // its heap through concurrent read guards.
 
 #include <gtest/gtest.h>
@@ -122,9 +122,8 @@ StatusOr<std::vector<Row>> RunJoin(PrivateEngine* engine, PhonemeCache* cache,
   // Scan workers fetch the right heap's pages concurrently through read
   // guards — with 4 frames against ~16 heap pages, that contends on the
   // pool's table lock and eviction path too.
-  LexSelectOp scan(&ctx, engine->right, 1, engine->probe,
-                   /*threshold_override=*/2, /*residual=*/nullptr, scan_dop,
-                   /*morsel_pages=*/2);
+  SeqScanOp scan(&ctx, engine->right, PsiScanKey{1, engine->probe, 2},
+                 /*residual=*/nullptr, scan_dop, /*morsel_pages=*/2);
   MURAL_ASSIGN_OR_RETURN(std::vector<Row> matches, CollectAll(&scan));
   if (matches.empty()) return Status::Internal("Psi scan found no match");
   rows.insert(rows.end(), matches.begin(), matches.end());

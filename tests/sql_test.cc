@@ -227,6 +227,73 @@ TEST_F(SqlTest, IndexDdlAndIndexedQuery) {
   EXPECT_EQ(result->rows.size(), 3u);
 }
 
+TEST_F(SqlTest, MTreeJoinKeepsInnerFilter) {
+  // An M-Tree index join reads inner rows straight from the heap, so it
+  // must not stand in for a filtered inner: the PublisherID conjuncts have
+  // to hold with the index on and off.
+  ASSERT_TRUE(session_->Sql("CREATE TABLE Author (AuthorID INT, "
+                            "AName UNITEXT MATERIALIZE PHONEMES)")
+                  .ok());
+  ASSERT_TRUE(session_->Sql("CREATE TABLE Publisher (PublisherID INT, "
+                            "PName UNITEXT MATERIALIZE PHONEMES)")
+                  .ok());
+  const char* names[] = {"nehru", "gandhi", "smith"};
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(db_->Insert("Author", {Value::Int32(i),
+                                       Value::Uni(UniText(names[i],
+                                                          lang::kEnglish))})
+                    .ok());
+  }
+  // Publishers 0..5 carry the authors' names; the rest match no author.
+  for (int i = 0; i < 4000; ++i) {
+    const std::string name =
+        i < 6 ? names[i % 3] : "zq" + std::to_string(i) + "xv";
+    ASSERT_TRUE(db_->Insert("Publisher",
+                            {Value::Int32(i),
+                             Value::Uni(UniText(name, lang::kEnglish))})
+                    .ok());
+  }
+  ASSERT_TRUE(session_->Sql("ANALYZE Author").ok());
+  ASSERT_TRUE(session_->Sql("ANALYZE Publisher").ok());
+  ASSERT_TRUE(session_->Sql("CREATE INDEX PUB_MTREE ON Publisher(PName) "
+                            "USING MTREE")
+                  .ok());
+  ASSERT_TRUE(session_->Set("degree_of_parallelism", 1).ok());
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 1).ok());
+
+  // Over the unfiltered inner, the index join is the plan.
+  auto unfiltered = session_->Sql(
+      "EXPLAIN SELECT A.AName, P.PName FROM Author A, Publisher P "
+      "WHERE A.AName LexEQUAL P.PName");
+  ASSERT_TRUE(unfiltered.ok()) << unfiltered.status().ToString();
+  EXPECT_NE(unfiltered->explain.find("LexIndexJoin("), std::string::npos)
+      << unfiltered->explain;
+
+  const std::string query =
+      "SELECT A.AName, P.PName, P.PublisherID FROM Author A, Publisher P "
+      "WHERE A.AName LexEQUAL P.PName AND P.PublisherID <> 1 "
+      "AND P.PublisherID <> 0";
+  auto render = [](const QueryResult& result) {
+    std::multiset<std::string> out;
+    for (const Row& row : result.rows) {
+      std::string line;
+      for (const Value& v : row) line += v.ToString() + "|";
+      out.insert(line);
+    }
+    return out;
+  };
+  auto with_mtree = session_->Sql(query);
+  ASSERT_TRUE(with_mtree.ok()) << with_mtree.status().ToString();
+  PlannerHints no_mtree;
+  no_mtree.enable_mtree = false;
+  auto without_mtree = session_->Sql(query, no_mtree);
+  ASSERT_TRUE(without_mtree.ok()) << without_mtree.status().ToString();
+  EXPECT_EQ(render(*with_mtree), render(*without_mtree))
+      << with_mtree->explain;
+  ASSERT_EQ(without_mtree->rows.size(), 4u);
+  for (const Row& row : with_mtree->rows) EXPECT_GT(row[2].int32(), 1);
+}
+
 TEST_F(SqlTest, SetRejectsUnknownSetting) {
   EXPECT_FALSE(session_->Sql("SET nonsense = 3").ok());
 }
