@@ -1,6 +1,7 @@
 #include "exec/agg_ops.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace mural {
 
@@ -162,8 +163,9 @@ Status AggregateOp::OpenImpl() {
 }
 
 StatusOr<bool> AggregateOp::NextImpl(Row* out) {
+  // Open rebuilds results_, so replaying by move is safe.
   if (pos_ >= results_.size()) return false;
-  *out = results_[pos_++];
+  *out = std::move(results_[pos_++]);
   CountRow();
   return true;
 }

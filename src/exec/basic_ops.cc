@@ -1,6 +1,7 @@
 #include "exec/basic_ops.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace mural {
 
@@ -84,33 +85,6 @@ StatusOr<bool> LimitOp::NextImpl(Row* out) {
   return true;
 }
 
-Status MaterializeOp::OpenImpl() {
-  pos_ = 0;
-  if (rows_.has_value()) return Status::OK();  // rescan: replay
-  MURAL_RETURN_IF_ERROR(child_->Open());
-  rows_.emplace();
-  Row row;
-  while (true) {
-    MURAL_ASSIGN_OR_RETURN(const bool more, child_->Next(&row));
-    if (!more) break;
-    rows_->push_back(row);
-  }
-  return child_->Close();
-}
-
-StatusOr<bool> MaterializeOp::NextImpl(Row* out) {
-  if (pos_ >= rows_->size()) return false;
-  *out = (*rows_)[pos_++];
-  CountRow();
-  return true;
-}
-
-Status MaterializeOp::CloseImpl() {
-  // No-op unless a failed Open left the child mid-drain (Close is
-  // idempotent); releases it so no span dangles.
-  return child_->Close();
-}
-
 StatusOr<bool> UnionAllOp::NextImpl(Row* out) {
   if (!on_right_) {
     MURAL_ASSIGN_OR_RETURN(const bool more, left_->Next(out));
@@ -126,17 +100,8 @@ StatusOr<bool> UnionAllOp::NextImpl(Row* out) {
 }
 
 Status SortOp::OpenImpl() {
-  MURAL_RETURN_IF_ERROR(child_->Open());
-  rows_.clear();
   pos_ = 0;
-  Row row;
-  while (true) {
-    MURAL_ASSIGN_OR_RETURN(const bool more, child_->Next(&row));
-    if (!more) break;
-    rows_.push_back(std::move(row));
-    row.clear();
-  }
-  MURAL_RETURN_IF_ERROR(child_->Close());
+  MURAL_ASSIGN_OR_RETURN(rows_, CollectAll(child_.get()));
   std::stable_sort(rows_.begin(), rows_.end(),
                    [this](const Row& a, const Row& b) {
                      for (const SortKey& k : keys_) {
@@ -149,15 +114,16 @@ Status SortOp::OpenImpl() {
 }
 
 StatusOr<bool> SortOp::NextImpl(Row* out) {
+  // Open rebuilds rows_, so replaying by move is safe.
   if (pos_ >= rows_.size()) return false;
-  *out = rows_[pos_++];
+  *out = std::move(rows_[pos_++]);
   CountRow();
   return true;
 }
 
 Status SortOp::CloseImpl() {
   rows_.clear();
-  return child_->Close();
+  return Status::OK();
 }
 
 std::string SortOp::DisplayName() const {

@@ -1,8 +1,7 @@
-// Row-shaping operators: Filter, Project, Limit, Materialize, Sort.
+// Row-shaping operators: Filter, Project, Limit, Sort, UnionAll, Values.
 
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "exec/expression.h"
@@ -94,37 +93,13 @@ class LimitOp : public PhysicalOp {
   uint64_t seen_ = 0;
 };
 
-/// Materializes the child once; replays from memory on rescans (the inner
-/// side of nested-loop joins, Fig. 7's Materialize nodes).
-class MaterializeOp : public PhysicalOp {
- public:
-  MaterializeOp(ExecContext* ctx, OpPtr child)
-      : PhysicalOp(ctx), child_(std::move(child)) {}
-
-  [[nodiscard]] Status OpenImpl() override;
-  [[nodiscard]] StatusOr<bool> NextImpl(Row* out) override;
-  [[nodiscard]] Status CloseImpl() override;
-  const Schema& output_schema() const override {
-    return child_->output_schema();
-  }
-  std::string DisplayName() const override { return "Materialize"; }
-  std::vector<const PhysicalOp*> Children() const override {
-    return {child_.get()};
-  }
-
- private:
-  OpPtr child_;
-  std::optional<std::vector<Row>> rows_;
-  size_t pos_ = 0;
-};
-
 /// One sort key.
 struct SortKey {
   size_t column = 0;
   bool ascending = true;
 };
 
-/// In-memory sort.
+/// In-memory sort: drains the child at Open and replays the sorted rows.
 class SortOp : public PhysicalOp {
  public:
   SortOp(ExecContext* ctx, OpPtr child, std::vector<SortKey> keys)

@@ -1,5 +1,7 @@
 #include "exec/join_ops.h"
 
+#include <utility>
+
 namespace mural {
 
 namespace {
@@ -25,15 +27,7 @@ NestedLoopJoinOp::NestedLoopJoinOp(ExecContext* ctx, OpPtr outer, OpPtr inner,
 
 Status NestedLoopJoinOp::OpenImpl() {
   MURAL_RETURN_IF_ERROR(outer_->Open());
-  MURAL_RETURN_IF_ERROR(inner_->Open());
-  inner_rows_.clear();
-  Row row;
-  while (true) {
-    MURAL_ASSIGN_OR_RETURN(const bool more, inner_->Next(&row));
-    if (!more) break;
-    inner_rows_.push_back(row);
-  }
-  MURAL_RETURN_IF_ERROR(inner_->Close());
+  MURAL_ASSIGN_OR_RETURN(inner_rows_, CollectAll(inner_.get()));
   outer_valid_ = false;
   inner_pos_ = 0;
   return Status::OK();
@@ -66,10 +60,7 @@ StatusOr<bool> NestedLoopJoinOp::NextImpl(Row* out) {
 
 Status NestedLoopJoinOp::CloseImpl() {
   inner_rows_.clear();
-  const Status outer_st = outer_->Close();
-  const Status inner_st = inner_->Close();  // no-op unless Open failed
-  MURAL_RETURN_IF_ERROR(outer_st);
-  return inner_st;
+  return outer_->Close();
 }
 
 HashJoinOp::HashJoinOp(ExecContext* ctx, OpPtr outer, OpPtr inner,
@@ -84,17 +75,14 @@ HashJoinOp::HashJoinOp(ExecContext* ctx, OpPtr outer, OpPtr inner,
 
 Status HashJoinOp::OpenImpl() {
   MURAL_RETURN_IF_ERROR(outer_->Open());
-  MURAL_RETURN_IF_ERROR(inner_->Open());
   table_.clear();
-  Row row;
-  while (true) {
-    MURAL_ASSIGN_OR_RETURN(const bool more, inner_->Next(&row));
-    if (!more) break;
+  MURAL_ASSIGN_OR_RETURN(std::vector<Row> build, CollectAll(inner_.get()));
+  for (Row& row : build) {
     const Value& key = row[inner_col_];
     if (key.is_null()) continue;  // NULL never joins
-    table_.emplace(key.Hash(), row);
+    const uint64_t hash = key.Hash();
+    table_.emplace(hash, std::move(row));
   }
-  MURAL_RETURN_IF_ERROR(inner_->Close());
   outer_valid_ = false;
   matches_open_ = false;
   return Status::OK();
@@ -128,10 +116,7 @@ StatusOr<bool> HashJoinOp::NextImpl(Row* out) {
 
 Status HashJoinOp::CloseImpl() {
   table_.clear();
-  const Status outer_st = outer_->Close();
-  const Status inner_st = inner_->Close();  // no-op unless Open failed
-  MURAL_RETURN_IF_ERROR(outer_st);
-  return inner_st;
+  return outer_->Close();
 }
 
 std::string HashJoinOp::DisplayName() const {

@@ -11,8 +11,9 @@
 
 namespace mural {
 
-/// Nested-loop inner join; the inner (right) side is materialized once.
-/// Predicate may be null (pure Cartesian product).
+/// Nested-loop inner join; the inner (right) side is drained into memory
+/// once per Open (CollectAll).  Predicate may be null (pure Cartesian
+/// product).
 class NestedLoopJoinOp : public PhysicalOp {
  public:
   NestedLoopJoinOp(ExecContext* ctx, OpPtr outer, OpPtr inner,

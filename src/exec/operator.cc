@@ -4,6 +4,7 @@
 
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace mural {
@@ -192,7 +193,7 @@ StatusOr<std::vector<Row>> CollectAll(PhysicalOp* root) {
         break;
       }
       if (!*more) break;
-      rows.push_back(row);
+      rows.push_back(std::move(row));
     }
   }
   // Close even on failure: operators release resources and the span
@@ -200,6 +201,27 @@ StatusOr<std::vector<Row>> CollectAll(PhysicalOp* root) {
   const Status close_status = root->Close();
   MURAL_RETURN_IF_ERROR(status);
   MURAL_RETURN_IF_ERROR(close_status);
+  return rows;
+}
+
+StatusOr<std::vector<Row>> GatherMorsels(ExecContext* ctx, size_t count,
+                                         int dop, const MorselFn& fn) {
+  const size_t num_morsels = MorselCount(count);
+  std::vector<std::vector<Row>> slots(num_morsels);
+  std::vector<ExecContext> worker_ctxs(num_morsels, ctx->WorkerClone());
+  MURAL_RETURN_IF_ERROR(ParallelMorsels(
+      ctx->thread_pool, count, dop,
+      [&fn, &slots, &worker_ctxs](size_t m, size_t begin, size_t end) {
+        return fn(begin, end, &worker_ctxs[m], &slots[m]);
+      }));
+  size_t total = 0;
+  for (const std::vector<Row>& slot : slots) total += slot.size();
+  std::vector<Row> rows;
+  rows.reserve(total);
+  for (size_t m = 0; m < num_morsels; ++m) {
+    ctx->stats.Merge(worker_ctxs[m].stats);
+    for (Row& r : slots[m]) rows.push_back(std::move(r));
+  }
   return rows;
 }
 

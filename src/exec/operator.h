@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -201,5 +202,21 @@ double QError(double estimated, double actual);
 /// Closed before returning — also on Open/Next failure — so no operator
 /// is left with an in-progress span.
 StatusOr<std::vector<Row>> CollectAll(PhysicalOp* root);
+
+/// One morsel of a morsel-parallel operator: processes input units
+/// [begin, end), counting effort in `wctx` and appending output rows to
+/// `slot`.
+using MorselFn = std::function<Status(size_t begin, size_t end,
+                                      ExecContext* wctx,
+                                      std::vector<Row>* slot)>;
+
+/// The morsel driver of every morsel-parallel operator: cuts [0, count)
+/// into morsels (ParallelMorsels, at `dop` on ctx->thread_pool), runs `fn`
+/// per morsel under its own WorkerClone() of `ctx` into its own slot, then
+/// merges the workers' stats into ctx->stats and concatenates the slots, in
+/// morsel order.  Rows, their order and ExecStats are the same at every DOP.
+[[nodiscard]] StatusOr<std::vector<Row>> GatherMorsels(ExecContext* ctx,
+                                                       size_t count, int dop,
+                                                       const MorselFn& fn);
 
 }  // namespace mural

@@ -4,20 +4,18 @@
 
 #include "catalog/tuple_codec.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "distance/bounded_myers.h"
 
 namespace mural {
 
 SeqScanOp::SeqScanOp(ExecContext* ctx, const TableInfo* table,
                      std::optional<PsiScanKey> key, ExprPtr residual,
-                     int dop, size_t morsel_pages)
+                     int dop)
     : PhysicalOp(ctx),
       table_(table),
       key_(std::move(key)),
       residual_(std::move(residual)),
-      dop_(dop < 1 ? 1 : dop),
-      morsel_pages_(morsel_pages == 0 ? kDefaultMorselPages : morsel_pages) {}
+      dop_(dop < 1 ? 1 : dop) {}
 
 Status SeqScanOp::OpenImpl() {
   results_.clear();
@@ -34,27 +32,15 @@ Status SeqScanOp::OpenImpl() {
   }
   const PhonemeString* probe = key_.has_value() ? &probe_phonemes : nullptr;
 
-  const size_t n = table_->heap->pages().size();
-  const size_t num_morsels =
-      n == 0 ? 0 : (n + morsel_pages_ - 1) / morsel_pages_;
-  std::vector<std::vector<Row>> slots(num_morsels);
-  std::vector<ExecContext> worker_ctxs(num_morsels, ctx_->WorkerClone());
-  MURAL_RETURN_IF_ERROR(ParallelMorsels(
-      ctx_->thread_pool, n, morsel_pages_, dop_,
-      [this, k, probe, &slots, &worker_ctxs](size_t m, size_t begin,
-                                             size_t end) {
-        return ScanPages(begin, end, k, probe, &worker_ctxs[m], &slots[m]);
-      }));
-
-  // Gather: flatten slots in morsel-index order (= page chain order) and
-  // merge stats the same way.
-  size_t total = 0;
-  for (const std::vector<Row>& slot : slots) total += slot.size();
-  results_.reserve(total);
-  for (size_t m = 0; m < num_morsels; ++m) {
-    ctx_->stats.Merge(worker_ctxs[m].stats);
-    for (Row& r : slots[m]) results_.push_back(std::move(r));
-  }
+  // Morsels are page ranges; the gather follows the page chain order.
+  MURAL_ASSIGN_OR_RETURN(
+      results_,
+      GatherMorsels(ctx_, table_->heap->pages().size(), dop_,
+                    [this, k, probe](size_t begin, size_t end,
+                                     ExecContext* wctx,
+                                     std::vector<Row>* slot) {
+                      return ScanPages(begin, end, k, probe, wctx, slot);
+                    }));
   return Status::OK();
 }
 
@@ -154,8 +140,6 @@ std::string IndexProbe::ToString() const {
   switch (kind) {
     case Kind::kEqual:
       return "= " + key.ToString();
-    case Kind::kRange:
-      return "[" + lo.ToString() + " .. " + hi.ToString() + "]";
     case Kind::kWithin:
       return "within " + std::to_string(radius) + " of " + key.ToString();
   }
@@ -169,10 +153,6 @@ Status IndexScanOp::OpenImpl() {
   switch (probe_.kind) {
     case IndexProbe::Kind::kEqual:
       MURAL_RETURN_IF_ERROR(index_->index->SearchEqual(probe_.key, &rids_));
-      break;
-    case IndexProbe::Kind::kRange:
-      MURAL_RETURN_IF_ERROR(
-          index_->index->SearchRange(probe_.lo, probe_.hi, &rids_));
       break;
     case IndexProbe::Kind::kWithin:
       MURAL_RETURN_IF_ERROR(

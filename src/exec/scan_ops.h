@@ -1,7 +1,7 @@
 // Scan operators: the one heap-scan leaf (SeqScanOp, which also carries
 // the Psi selection pushed into the scan, paper §4.2) and index scans
-// (B-Tree equality / range probes, M-Tree metric probes, MDI candidate
-// probes with recheck).
+// (B-Tree equality probes, M-Tree metric probes, MDI candidate probes with
+// recheck).
 
 #pragma once
 
@@ -28,30 +28,26 @@ struct PsiScanKey {
 /// same page walk.
 ///
 /// Workers claim page-range morsels over the heap's page directory
-/// (ParallelMorsels; inline at DOP 1) and read records in place through
+/// (GatherMorsels, which sizes them from the page count alone; inline at
+/// DOP 1) and read records in place through
 /// one read guard per page.  Per record, a keyed scan first peeks only the
 /// key column out of the serialized tuple (TupleCodec::PeekUniText,
 /// zero-copy) and runs a BoundedMyersMatcher prepared once per morsel on
 /// the probe's phonemes, hoisted once at Open; rows that pass are
 /// deserialized and then filtered by `residual` (late materialization).
 ///
-/// The scan materializes at Open.  Determinism: each morsel filters into
-/// its own result slot under its own WorkerClone() context; the gather
+/// The scan materializes at Open.  Determinism: GatherMorsels filters
+/// each morsel into its own slot under its own WorkerClone() context and
 /// concatenates slots and merges stats in morsel order, so rows, their
 /// order, and ExecStats do not depend on DOP.  Next and NextBatch both
 /// replay the gathered rows.
 class SeqScanOp : public PhysicalOp {
  public:
-  /// Pages per morsel.  A page holds on the order of 10^2 name rows, so
-  /// even a handful of pages amortizes the worker hand-off.
-  static constexpr size_t kDefaultMorselPages = 4;
-
   /// `residual` may be null.  `dop` > 1 with a thread pool in the context
   /// runs the morsels on the pool.
   SeqScanOp(ExecContext* ctx, const TableInfo* table,
             std::optional<PsiScanKey> key = std::nullopt,
-            ExprPtr residual = nullptr, int dop = 1,
-            size_t morsel_pages = kDefaultMorselPages);
+            ExprPtr residual = nullptr, int dop = 1);
 
   [[nodiscard]] Status OpenImpl() override;
   [[nodiscard]] StatusOr<bool> NextImpl(Row* out) override;
@@ -72,7 +68,6 @@ class SeqScanOp : public PhysicalOp {
   std::optional<PsiScanKey> key_;
   ExprPtr residual_;
   int dop_;
-  size_t morsel_pages_;
 
   std::vector<Row> results_;
   size_t result_pos_ = 0;
@@ -80,10 +75,9 @@ class SeqScanOp : public PhysicalOp {
 
 /// What an index scan probes for.
 struct IndexProbe {
-  enum class Kind { kEqual, kRange, kWithin };
+  enum class Kind { kEqual, kWithin };
   Kind kind = Kind::kEqual;
-  Value key;       // kEqual / kWithin
-  Value lo, hi;    // kRange (NULL = unbounded)
+  Value key;
   int radius = 0;  // kWithin
 
   std::string ToString() const;

@@ -157,10 +157,6 @@ Cost CostModel::Aggregate(double rows) const {
           0.0};
 }
 
-Cost CostModel::Materialize(double rows) const {
-  return {rows * params_.cpu_tuple_cost, 0.0};
-}
-
 Cost CostModel::Parallelize(const Cost& serial, int dop) const {
   if (dop <= 1) return serial;
   const double d = static_cast<double>(dop);

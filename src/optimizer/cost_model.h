@@ -144,7 +144,6 @@ class CostModel {
   Cost Project(double rows) const;
   Cost Sort(double rows) const;
   Cost Aggregate(double rows) const;
-  Cost Materialize(double rows) const;
 
  private:
   /// CPU of one diagonal-transition distance evaluation.

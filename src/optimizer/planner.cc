@@ -246,12 +246,8 @@ StatusOr<Planner::Planned> Planner::PlanNodeImpl(const LogicalNode& node,
       out.cost = l.cost + r.cost +
                  cost_model_.NestedLoopJoin(ProfileOf(l, 0), ProfileOf(r, 0),
                                             0.0);
-      OpPtr inner = std::move(r.op);
-      if (hints.enable_materialize) {
-        inner = std::make_unique<MaterializeOp>(ctx_, std::move(inner));
-      }
       out.op = std::make_unique<NestedLoopJoinOp>(
-          ctx_, std::move(l.op), std::move(inner), node.predicate);
+          ctx_, std::move(l.op), std::move(r.op), node.predicate);
       return out;
     }
   }
@@ -442,7 +438,7 @@ StatusOr<Planner::Planned> Planner::PlanEquiJoin(const LogicalNode& node,
   const RelProfile rp = ProfileOf(r, node.right_col);
   const Cost hash_cost = cost_model_.HashJoin(lp, rp);
   const Cost nlj_cost = cost_model_.NestedLoopJoin(lp, rp, 0.0);
-  if (hints.enable_hashjoin && hash_cost.total() <= nlj_cost.total()) {
+  if (hash_cost.total() <= nlj_cost.total()) {
     out.cost = l.cost + r.cost + hash_cost;
     out.op = std::make_unique<HashJoinOp>(ctx_, std::move(l.op),
                                           std::move(r.op), node.left_col,
@@ -453,12 +449,8 @@ StatusOr<Planner::Planned> Planner::PlanEquiJoin(const LogicalNode& node,
                           l.op->output_schema().column(node.left_col).name),
                       Col(l.op->output_schema().NumColumns() + node.right_col,
                           r.op->output_schema().column(node.right_col).name));
-    OpPtr inner = std::move(r.op);
-    if (hints.enable_materialize) {
-      inner = std::make_unique<MaterializeOp>(ctx_, std::move(inner));
-    }
     out.op = std::make_unique<NestedLoopJoinOp>(ctx_, std::move(l.op),
-                                                std::move(inner), pred);
+                                                std::move(r.op), pred);
   }
   return out;
 }

@@ -21,14 +21,11 @@
 
 namespace mural {
 
-/// PostgreSQL-style enable_* switches.
+/// Plan-forcing switches (§5.2.1's alternative plans): PostgreSQL-style
+/// enable_* access-path switches, the opaque-UDF view, and a DOP override.
 struct PlannerHints {
-  bool enable_indexscan = true;    // B-Tree / MDI access paths
-  bool enable_mtree = true;        // metric index access paths
-  bool enable_hashjoin = true;
-  bool enable_materialize = true;  // wrap NLJ inners
-  /// Force join children exactly as written (no commuting).
-  bool force_join_order = false;
+  bool enable_indexscan = true;  // B-Tree / MDI access paths
+  bool enable_mtree = true;      // metric index access paths
   /// Treat multilingual predicates as optimizer-opaque black boxes with
   /// default selectivity and no index support — how an engine sees
   /// outside-the-server UDFs.

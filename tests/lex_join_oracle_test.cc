@@ -189,7 +189,7 @@ class LexJoinOracleTest : public ::testing::Test {
 
   // A disabled phoneme cache makes every lookup a counted miss, so the
   // hit/miss split cannot depend on which worker converted a key first.
-  Run Join(const Sides& sides, int k, int dop, bool tag, size_t morsel) {
+  Run Join(const Sides& sides, int k, int dop, bool tag) {
     PhonemeCache disabled(0);
     ExecContext ctx;
     ctx.phoneme_cache = &disabled;
@@ -201,7 +201,6 @@ class LexJoinOracleTest : public ::testing::Test {
     options.threshold = k;
     options.tag_distance = tag;
     options.dop = dop;
-    options.morsel_size = morsel;
     LexJoinOp join(&ctx,
                    std::make_unique<ValuesOp>(&ctx, KeySchema(), sides.outer),
                    std::make_unique<ValuesOp>(&ctx, KeySchema(), sides.inner),
@@ -218,14 +217,14 @@ class LexJoinOracleTest : public ::testing::Test {
 
   // The oracle sweep: k x tag_distance x DOP, each against the brute force,
   // with ExecStats equal to the DOP-1 run's.
-  void ExpectMatchesBruteForce(const Sides& sides, size_t morsel) {
+  void ExpectMatchesBruteForce(const Sides& sides) {
     for (int k = 0; k <= kMaxThreshold; ++k) {
       for (const bool tag : {false, true}) {
         const std::vector<std::string> expected = BruteForce(sides, k, tag);
         ASSERT_FALSE(expected.empty()) << "k=" << k;
         std::vector<std::pair<std::string, uint64_t>> serial_stats;
         for (const int dop : kDops) {
-          const Run run = Join(sides, k, dop, tag, morsel);
+          const Run run = Join(sides, k, dop, tag);
           EXPECT_EQ(run.rows, expected)
               << "k=" << k << " tag=" << tag << " dop=" << dop;
           if (dop == 1) {
@@ -249,14 +248,13 @@ class LexJoinOracleTest : public ::testing::Test {
 TEST_F(LexJoinOracleTest, EdgeCaseKeysMatchBruteForce) {
   for (const uint64_t seed : {11u, 12u}) {
     const Sides sides = EdgeCaseSides(seed);
-    ExpectMatchesBruteForce(sides, /*morsel=*/16);
+    ExpectMatchesBruteForce(sides);
   }
 }
 
 TEST_F(LexJoinOracleTest, SeededNamesMatchBruteForce) {
   const Sides sides = SeededNameSides(42);
-  ExpectMatchesBruteForce(sides, /*morsel=*/32);
-  ExpectMatchesBruteForce(sides, LexJoinOptions().morsel_size);
+  ExpectMatchesBruteForce(sides);
 }
 
 TEST_F(LexJoinOracleTest, HugeThresholdAdmitsEveryPair) {
@@ -266,7 +264,7 @@ TEST_F(LexJoinOracleTest, HugeThresholdAdmitsEveryPair) {
   constexpr int kHuge = 1'000'000'000;
   const std::vector<std::string> expected = BruteForce(sides, kHuge, true);
   for (const int dop : kDops) {
-    EXPECT_EQ(Join(sides, kHuge, dop, true, 16).rows, expected)
+    EXPECT_EQ(Join(sides, kHuge, dop, true).rows, expected)
         << "dop=" << dop;
   }
 }
@@ -277,7 +275,7 @@ TEST_F(LexJoinOracleTest, CacheLookupsAreOnePerRow) {
   const Sides sides = SeededNameSides(7);
   const uint64_t rows = sides.outer.size() + sides.inner.size();
   for (const int dop : kDops) {
-    const Run run = Join(sides, 2, dop, false, 32);
+    const Run run = Join(sides, 2, dop, false);
     EXPECT_EQ(run.stats.phoneme_cache_hits + run.stats.phoneme_cache_misses,
               rows)
         << "dop=" << dop;
@@ -288,7 +286,7 @@ TEST_F(LexJoinOracleTest, FilterVerifiesFewerPairsThanAllPairs) {
   // At k=2 on names the index admits a small share of the pairs; a
   // regression to all-pairs verification keeps the rows but fails here.
   const Sides sides = SeededNameSides(42);
-  const Run run = Join(sides, 2, 1, false, LexJoinOptions().morsel_size);
+  const Run run = Join(sides, 2, 1, false);
   EXPECT_LT(run.stats.predicate_evals * 4,
             sides.outer.size() * sides.inner.size());
 }

@@ -112,7 +112,6 @@ StatusOr<std::vector<Row>> RunJoin(PrivateEngine* engine, PhonemeCache* cache,
     ctx.thread_pool = nested_pool;
     ctx.degree_of_parallelism = 2;
     options.dop = 2;
-    options.morsel_size = 16;
     scan_dop = 2;
   }
   LexJoinOp join(&ctx, std::make_unique<SeqScanOp>(&ctx, engine->left),
@@ -123,7 +122,7 @@ StatusOr<std::vector<Row>> RunJoin(PrivateEngine* engine, PhonemeCache* cache,
   // guards — with 4 frames against ~16 heap pages, that contends on the
   // pool's table lock and eviction path too.
   SeqScanOp scan(&ctx, engine->right, PsiScanKey{1, engine->probe, 2},
-                 /*residual=*/nullptr, scan_dop, /*morsel_pages=*/2);
+                 /*residual=*/nullptr, scan_dop);
   MURAL_ASSIGN_OR_RETURN(std::vector<Row> matches, CollectAll(&scan));
   if (matches.empty()) return Status::Internal("Psi scan found no match");
   rows.insert(rows.end(), matches.begin(), matches.end());

@@ -339,7 +339,7 @@ int main(int argc, char** argv) {
   // tokens are kept for pass 2.
   std::vector<ParsedFile> parsed(sources.size());
   mural::Status p1 = mural::ParallelMorsels(
-      &pool, sources.size(), /*morsel_size=*/8, dop,
+      &pool, sources.size(), dop,
       [&sources, &parsed, &timing_slot](size_t, size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
           const SourceFile& src = sources[i];
@@ -381,7 +381,7 @@ int main(int argc, char** argv) {
   // Pass 2: per-file rules with the merged inputs, then the global graph.
   std::vector<std::vector<mural::lint::Violation>> per_file(sources.size());
   mural::Status p2 = mural::ParallelMorsels(
-      &pool, sources.size(), /*morsel_size=*/8, dop,
+      &pool, sources.size(), dop,
       [&sources, &parsed, &per_file, &options,
        &timing_slot](size_t, size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
