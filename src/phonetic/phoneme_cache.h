@@ -1,4 +1,4 @@
-// PhonemeCache: a sharded, thread-safe LRU cache of G2P transformations.
+// PhonemeCache: a sharded, thread-safe CLOCK cache of G2P transformations.
 //
 // Table 3 makes LexEQUAL CPU-bound on text-to-phoneme conversion; when
 // phoneme strings are not materialized in storage (§4.2's fallback), every
@@ -6,24 +6,43 @@
 // phonemes across operators, queries, and worker threads, so each distinct
 // value is converted at most once per residency.
 //
-// Sharding: the key hash picks one of a fixed set of shards, each with its
-// own mutex + LRU list, so concurrent morsel workers rarely contend on the
-// same lock.  Transformation runs *outside* the shard lock (G2P is pure
-// and deterministic, so a duplicate compute under contention is benign and
-// both writers store the same string).
+// A hit must cost well under the G2P call it saves, so the hit path builds
+// no key and writes nothing shared but the lock word and two counters:
+//
+//   * Keys: (text, lang) is hashed once per lookup.  A heterogeneous
+//     (`is_transparent`) lookup probes the shard's map with a view of the
+//     caller's text; the resident key owns the only copy of the text and
+//     carries its hash, so rehashing never re-reads it.
+//   * Locking: the hash picks one of kNumShards shards.  A hit holds the
+//     shard's SharedMutex shared; only a miss takes it exclusively, to
+//     insert and, at capacity, evict.
+//   * Recency: CLOCK, not LRU.  A hit sets the entry's reference bit
+//     (stored only when it is clear, so a hot entry's cache line stays
+//     shared); the eviction sweep walks the map's buckets from the shard's
+//     hand, clearing set bits and evicting the first entry whose bit is
+//     already clear.  No list is spliced on a hit.
+//   * Counters: each shard, on its own cache line, counts its hits and
+//     misses; hits() and misses() sum them.  The process-wide
+//     `phonetic.phoneme_cache.{hits,misses}` registry counters count every
+//     lookup as well.
+//
+// Transformation runs *outside* the shard lock (G2P is pure and
+// deterministic, so a duplicate compute under contention is benign and
+// both threads return the same string; only the first is stored).
 //
 // Capacity 0 disables caching: lookups always compute, count a miss, and
 // store nothing — the ablation baseline for the benchmarks.
 
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <list>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -51,8 +70,8 @@ class PhonemeCache {
                              bool* was_hit = nullptr);
 
   /// Cumulative lookup counters across all threads and queries.
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  uint64_t hits() const;
+  uint64_t misses() const;
 
   /// Entries currently resident (sums the shards; approximate under
   /// concurrent mutation).
@@ -65,24 +84,54 @@ class PhonemeCache {
   void Clear();
 
  private:
-  struct Shard {
-    mutable Mutex mu;
-    // Front = most recently used.  The map points into the list.
-    std::list<std::pair<std::string, PhonemeString>> lru GUARDED_BY(mu);
-    std::unordered_map<
-        std::string,
-        std::list<std::pair<std::string, PhonemeString>>::iterator>
-        index GUARDED_BY(mu);
+  // A lookup's key: a view of the caller's text, hashed once.
+  struct KeyRef {
+    std::string_view text;
+    LangId lang;
+    size_t hash;
+  };
+  // A resident key: the one stored copy of the text, and its hash.
+  struct Key {
+    std::string text;
+    LangId lang;
+    size_t hash;
+  };
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(const Key& k) const noexcept { return k.hash; }
+    size_t operator()(const KeyRef& k) const noexcept { return k.hash; }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      return a.hash == b.hash && a.lang == b.lang &&
+             std::string_view(a.text) == std::string_view(b.text);
+    }
+  };
+  struct Entry {
+    explicit Entry(PhonemeString p) : phonemes(std::move(p)) {}
+    PhonemeString phonemes;
+    // The CLOCK reference bit.  Hits set it under the shared lock (so it
+    // is atomic); the eviction sweep clears it under the exclusive lock.
+    mutable std::atomic<bool> referenced{false};
+  };
+  using Map = std::unordered_map<Key, Entry, KeyHash, KeyEq>;
+
+  struct alignas(64) Shard {
+    mutable SharedMutex mu;
+    Map entries GUARDED_BY(mu);
+    size_t hand GUARDED_BY(mu) = 0;  // the bucket the next sweep starts at
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> misses{0};
   };
 
-  static std::string MakeKey(std::string_view text, LangId lang);
-  Shard& ShardFor(const std::string& key);
+  /// Evicts one entry by the CLOCK rule.  The shard must be non-empty.
+  static void EvictOne(Shard* shard) REQUIRES(shard->mu);
 
   const size_t capacity_;
   const size_t shard_capacity_;
-  std::vector<Shard> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
+  std::array<Shard, kNumShards> shards_;
 };
 
 }  // namespace mural
